@@ -25,7 +25,6 @@ import (
 	"repro/internal/regions"
 	"repro/internal/report"
 	"repro/internal/sheet"
-	"repro/internal/typecheck"
 	"repro/internal/workload"
 )
 
@@ -560,18 +559,17 @@ func BenchmarkAnalyzeWorkbook(b *testing.B) {
 	}
 }
 
-// BenchmarkTypecheckWorkbook measures the static type checker's full
-// pipeline — dependency graph, topological fixpoint over the kind lattice,
-// column certificates, report assembly — on the 50k-row weather workbook.
-// Like the analyzer, it never evaluates a formula, so cost should track
-// the formula count; the optimized engine pays exactly this once per
-// Install when TypedColumns is on.
+// BenchmarkTypecheckWorkbook measures the `sheetcli typecheck` report
+// pipeline — the abstract interpreter's topological fixpoint, then the
+// kind/error projection's column summaries, certificates and listings —
+// on the 50k-row weather workbook. Like the analyzer, it never evaluates a
+// formula, so cost should track the formula count.
 func BenchmarkTypecheckWorkbook(b *testing.B) {
 	wb := workload.Weather(workload.Spec{Rows: 50_000, Formulas: true, Analysis: true})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rep := typecheck.Workbook(wb, typecheck.Options{})
+		rep := absint.TypecheckWorkbook(wb, absint.TypeReportOptions{})
 		if rep.Formulas == 0 || rep.ErrorCells == 0 {
 			b.Fatal("empty typecheck report")
 		}
@@ -654,9 +652,9 @@ func BenchmarkInterferenceAnalysis(b *testing.B) {
 // BenchmarkAbsintWorkbook measures the abstract interpreter's full
 // pipeline — topological fixpoint over the interval/kind/error lattice,
 // constant folding through the concrete mirror, certificate distillation —
-// on the 50k-row weather workbook. Like typecheck, it never evaluates a
-// formula; the optimized engine pays exactly this once per Install when
-// ValueCerts is on.
+// on the 50k-row weather workbook. It never evaluates a formula; the
+// optimized engine pays exactly this once per Install when ValueCerts is
+// on.
 func BenchmarkAbsintWorkbook(b *testing.B) {
 	wb := workload.Weather(workload.Spec{Rows: 50_000, Formulas: true, Analysis: true})
 	b.ReportAllocs()

@@ -12,8 +12,8 @@
 //
 //	sheetcli typecheck [-json] [-rows n] [file.svf]
 //
-// runs the static type & error-flow inference (internal/typecheck) over a
-// workbook and exits; see typecheck.go.
+// prints the kind/error projection of the abstract interpreter
+// (internal/absint) for a workbook and exits; see typecheck.go.
 //
 //	sheetcli regions [-json] [-rows n] [file.svf]
 //
@@ -57,7 +57,7 @@
 //	get A1                    read a cell
 //	show [rows]               print the top of the sheet
 //	analyze                   run the static analyzer on the workbook
-//	typecheck                 run the static type & error-flow inference
+//	typecheck                 print the kind/error projection of absint
 //	regions                   run the fill-region inference
 //	interfere                 run the parallel-safety certification
 //	absint                    run the abstract value analysis
@@ -81,13 +81,13 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/absint"
 	"repro/internal/analyze"
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/iolib"
 	"repro/internal/obs"
 	"repro/internal/sheet"
-	"repro/internal/typecheck"
 	"repro/internal/workload"
 )
 
@@ -178,7 +178,7 @@ func dispatch(eng *engine.Engine, line string) bool {
 		}
 
 	case "typecheck":
-		res := typecheck.Workbook(eng.Workbook(), typecheck.Options{})
+		res := absint.TypecheckWorkbook(eng.Workbook(), absint.TypeReportOptions{})
 		if err := res.WriteText(os.Stdout); err != nil {
 			return fail(err)
 		}

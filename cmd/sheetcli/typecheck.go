@@ -5,19 +5,19 @@ import (
 	"fmt"
 	"io"
 
+	"repro/internal/absint"
 	"repro/internal/iolib"
 	"repro/internal/sheet"
-	"repro/internal/typecheck"
 	"repro/internal/workload"
 )
 
 // runTypecheck implements the `sheetcli typecheck` subcommand: it loads a
 // workbook (an .svf file argument, or a generated weather dataset with the
-// analysis summary block) and prints the static type & error-flow
-// inference report (internal/typecheck) — per-column kind summaries with
-// numeric certificates, error-possible formulas, and cells whose stored
-// value disagrees with the inferred possibility set — without evaluating a
-// single formula.
+// analysis summary block) and prints the kind/error projection of the
+// abstract interpreter (absint.TypecheckWorkbook) — per-column kind
+// summaries with numeric certificates, error-possible formulas, and cells
+// whose stored value disagrees with the inferred possibility set — without
+// evaluating a single formula.
 //
 // Usage: sheetcli typecheck [-json] [-rows n] [-seed n] [-list n] [file.svf]
 func runTypecheck(args []string, out, errOut io.Writer) int {
@@ -53,7 +53,7 @@ func runTypecheck(args []string, out, errOut io.Writer) int {
 		})
 	}
 
-	res := typecheck.Workbook(wb, typecheck.Options{MaxList: *list})
+	res := absint.TypecheckWorkbook(wb, absint.TypeReportOptions{MaxList: *list})
 	var err error
 	if *jsonOut {
 		err = res.WriteJSON(out)

@@ -1,27 +1,30 @@
 // Package absint is an abstract-interpretation value analysis for the
 // formula language: a topological abstract interpreter over compiled
 // formula ASTs (internal/formula) and the dependency graph
-// (internal/graph) that refines the kind/error inference of
-// internal/typecheck with *values* — a numeric interval per cell, a
-// sortedness direction per column, and certified constants — without
-// evaluating a single formula.
+// (internal/graph) that infers, per cell, the kind/error abstraction of
+// internal/typecheck refined with *values* — a numeric interval per cell,
+// a sortedness direction per column, and certified constants — without
+// evaluating a single formula. It is the repository's one abstract
+// interpreter.
 //
 // The paper's lookup and aggregation cliffs come from per-cell
 // interpretation that cannot exploit what is statically knowable about a
 // column: VLOOKUP scans linearly even over monotone key columns, and
 // error/coercion branches run on values that can never be errors. This
 // package computes the certificates that remove exactly that work. It
-// feeds four consumers: the version-keyed ValueCerts the optimized engine
+// feeds five consumers: the version-keyed ValueCerts the optimized engine
 // issues at install pre-flight (internal/engine/valuecert.go — binary-
 // search lookups, branch-elided prefix kernels, guarded constant skips),
-// the `sheetcli absint` report, the `unsorted-lookup` analyzer rule and
-// cert-aware cost estimate (internal/analyze), and the per-region
-// certificate counts in the regions report.
+// the `sheetcli absint` report, the `sheetcli typecheck` kind/error report
+// (typereport.go), the `unsorted-lookup`, `error-blast-radius` and
+// `coercion-hot-path` analyzer rules and the cert-aware cost estimate
+// (internal/analyze), and the per-region certificate counts in the regions
+// report.
 //
 // Soundness contract: for every cell, the value observed after evaluation
 // is admitted by the inferred abstract value (Value.Admits) — kind and
-// error mask as in typecheck, plus interval membership for numbers and
-// exact equality for certified constants. The lattice now has infinite
+// error mask (typecheck.Abstract.Admits), plus interval membership for
+// numbers and exact equality for certified constants. The lattice now has infinite
 // ascending chains (intervals), so the fixpoint loop widens unstable
 // bounds to ±Inf after a fixed pass budget. The differential soundness
 // test checks the contract against the evaluator over every workload
@@ -222,13 +225,14 @@ func (d Dir) String() string {
 	}
 }
 
-// Value is the abstract value of one cell: the typecheck kind/error
-// abstraction, refined with a numeric interval and an optional certified
-// constant. The zero Value is bottom (no value reaches the cell; note the
+// Value is the abstract value of one cell: the kind/error abstraction
+// (typecheck.Abstract), refined with a numeric interval and an optional
+// certified constant. The zero Value is bottom (no value reaches the cell; note the
 // zero Interval is the point [0,0], which norm masks while the kind set
 // excludes numbers).
 type Value struct {
-	// Ab is the kind/error component, shared with internal/typecheck.
+	// Ab is the kind/error component — the projection the type report and
+	// the analyzer's error-flow rules consume.
 	Ab typecheck.Abstract
 	// Num bounds the cell's value whenever it holds a Number. It is
 	// meaningful only when Ab.Kinds includes KNumber; norm keeps it empty
@@ -336,7 +340,7 @@ func (v Value) Admits(cv cell.Value) bool {
 	return true
 }
 
-// String renders the abstraction for reports: the typecheck rendering,
+// String renders the abstraction for reports: the kind/error rendering,
 // then the interval when it adds information, then the constant.
 func (v Value) String() string {
 	v = v.norm()

@@ -11,8 +11,8 @@ import (
 )
 
 // site is one formula cell prepared for inference: its address, compiled
-// code, and displacement from the authored origin (mirrors
-// typecheck.InferSheet and the evaluator's Env.DR/DC).
+// code, and displacement from the authored origin (mirrors the analyzer's
+// formulaSite and the evaluator's Env.DR/DC).
 type site struct {
 	at     cell.Addr
 	code   *formula.Compiled
@@ -27,11 +27,10 @@ type Inference struct {
 	sites  []site
 	byCell map[cell.Addr]Value
 	cyclic []cell.Addr
-	g      *graph.Graph
 }
 
 // maxPasses bounds the fixpoint loop and widenAfter starts the widening:
-// unlike typecheck's finite lattice, intervals form infinite ascending
+// unlike the finite kind/error lattice, intervals form infinite ascending
 // chains, so after widenAfter passes any bound still moving is widened to
 // its infinity (Interval.WidenTo), which stabilizes in one more pass per
 // chain. With a correct topological order the loop converges on the
@@ -52,7 +51,6 @@ func InferSheet(s *sheet.Sheet) *Inference {
 	inf := &Inference{
 		s:      s,
 		byCell: make(map[cell.Addr]Value, s.FormulaCount()),
-		g:      graph.New(),
 	}
 	inf.sites = make([]site, 0, s.FormulaCount())
 	s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
@@ -67,14 +65,15 @@ func InferSheet(s *sheet.Sheet) *Inference {
 		return inf.sites[i].at.Col < inf.sites[j].at.Col
 	})
 
+	g := graph.New()
 	siteOf := make(map[cell.Addr]*site, len(inf.sites))
 	for i := range inf.sites {
 		st := &inf.sites[i]
-		inf.g.SetFormula(st.at, st.code.PrecedentRanges(st.dr, st.dc))
+		g.SetFormula(st.at, st.code.PrecedentRanges(st.dr, st.dc))
 		siteOf[st.at] = st
 	}
 
-	order, cyclic := inf.g.AllFormulas()
+	order, cyclic := g.AllFormulas()
 	inf.cyclic = cyclic
 	// The engine marks every cell the topological sort cannot schedule —
 	// cycle members and their transitive dependents alike — with #CYCLE!.
@@ -119,6 +118,15 @@ func (inf *Inference) At(a cell.Addr) Value {
 		return v
 	}
 	return Exactly(inf.s.Value(a))
+}
+
+// abAt returns the kind/error projection of any cell, like At(a).Ab but
+// without allocating a value cell's certified constant.
+func (inf *Inference) abAt(a cell.Addr) typecheck.Abstract {
+	if v, ok := inf.byCell[a]; ok {
+		return v.Ab
+	}
+	return typecheck.Exactly(inf.s.Value(a))
 }
 
 // RangeJoin joins the abstract values of every cell in a range, with
@@ -227,12 +235,6 @@ func errValue(e typecheck.Errs) Value {
 	return Value{Ab: typecheck.Abstract{Errs: e}, Num: EmptyInterval()}
 }
 
-// errBitOf maps an error code string to its typecheck lattice bit through
-// Exactly, which already maps unknown codes to the full error set.
-func errBitOf(code string) typecheck.Errs {
-	return typecheck.Exactly(cell.Errorf(code)).Errs
-}
-
 // shiftRef translates a reference by the site displacement the way the
 // evaluator does (absolute components stay put).
 func shiftRef(r cell.Ref, dr, dc int) cell.Addr {
@@ -265,7 +267,9 @@ func numInterval(v Value) Interval {
 	return iv
 }
 
-// numCoerceErrs mirrors typecheck: only text can fail numeric coercion.
+// numCoerceErrs returns the error possibility of coercing the abstraction
+// to a number (cell.Value.AsNumber): only text can fail to parse; numbers,
+// bools, and empty always coerce. Errors pass through separately.
 func numCoerceErrs(a typecheck.Abstract) typecheck.Errs {
 	if a.Kinds&typecheck.KText != 0 {
 		return typecheck.EValue
@@ -273,7 +277,8 @@ func numCoerceErrs(a typecheck.Abstract) typecheck.Errs {
 	return 0
 }
 
-// boolCoerceErrs mirrors typecheck: only non-TRUE/FALSE text fails.
+// boolCoerceErrs is the same for boolean coercion (cell.Value.AsBool):
+// only non-TRUE/FALSE text fails.
 func boolCoerceErrs(a typecheck.Abstract) typecheck.Errs {
 	if a.Kinds&typecheck.KText != 0 {
 		return typecheck.EValue
@@ -500,7 +505,9 @@ func (c *callCtx) rangeArgErr(i int) typecheck.Errs {
 }
 
 // textArgErrs joins each argument's cell errors, plus #VALUE! for
-// multi-cell range arguments, mirroring typecheck.
+// multi-cell range arguments (the string built-ins take scalars, and a
+// multi-cell range in scalar position is #VALUE!; the few that stream
+// cells instead are over-approximated by the same join, which is sound).
 func (c *callCtx) textArgErrs() typecheck.Errs {
 	var e typecheck.Errs
 	for i := range c.call.Args {

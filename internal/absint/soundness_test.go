@@ -2,14 +2,17 @@
 // size in the test matrix, every value the evaluator produces must be
 // admitted by the statically inferred abstraction (kind, error mask,
 // interval, and certified constant — Value.Admits), and every column
-// certificate must be concretely true of the evaluated sheet. This is the
-// value-level analogue of typecheck's soundness matrix; the engine's
-// certified lookup/kernel differentials cover the consumer half and the
-// fuzzdiff harness hunts unsound transfers adversarially.
+// certificate must be concretely true of the evaluated sheet. Membership
+// checks the kind/error projection (Value.Ab) first, so this matrix is
+// also the soundness gate for the `sheetcli typecheck` report and the
+// analyzer's error-flow rules; the engine's certified lookup/kernel
+// differentials cover the consumer half and the fuzzdiff harness hunts
+// unsound transfers adversarially.
 package absint_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/absint"
@@ -17,6 +20,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/formula"
 	"repro/internal/sheet"
+	"repro/internal/typecheck"
 	"repro/internal/workload"
 )
 
@@ -32,8 +36,9 @@ var generators = []struct {
 
 // checkWorkbook infers every sheet before evaluation, evaluates with the
 // given engine profile, and asserts the membership contract plus the
-// concrete truth of every distilled certificate.
-func checkWorkbook(t *testing.T, wb *sheet.Workbook, prof engine.Profile) {
+// concrete truth of every distilled certificate. It returns the number of
+// cells pinned to #CYCLE!.
+func checkWorkbook(t *testing.T, wb *sheet.Workbook, prof engine.Profile) (cyclic int) {
 	t.Helper()
 	infs := make(map[*sheet.Sheet]*absint.Inference)
 	certs := make(map[*sheet.Sheet]*absint.SheetCert)
@@ -41,6 +46,7 @@ func checkWorkbook(t *testing.T, wb *sheet.Workbook, prof engine.Profile) {
 		inf := absint.InferSheet(s)
 		infs[s] = inf
 		certs[s] = inf.Certify()
+		cyclic += len(inf.Cyclic())
 	}
 	if err := engine.New(prof).Install(wb); err != nil {
 		t.Fatal(err)
@@ -98,6 +104,7 @@ func checkWorkbook(t *testing.T, wb *sheet.Workbook, prof engine.Profile) {
 			}
 		}
 	}
+	return cyclic
 }
 
 func TestAbsintSoundOnWorkloadMatrix(t *testing.T) {
@@ -110,7 +117,11 @@ func TestAbsintSoundOnWorkloadMatrix(t *testing.T) {
 			g, rows := g, rows
 			t.Run(fmt.Sprintf("%s/rows=%d", g.name, rows), func(t *testing.T) {
 				wb := g.gen(workload.Spec{Rows: rows, Seed: 7, Formulas: true, Analysis: true})
-				checkWorkbook(t, wb, engine.ExcelProfile())
+				// Membership pins every cyclic cell to exactly #CYCLE!; the
+				// weather analysis block's S9/S10 cycle must be found at all.
+				if n := checkWorkbook(t, wb, engine.ExcelProfile()); g.name == "weather" && n == 0 {
+					t.Error("fixture cycle S9/S10 not detected")
+				}
 			})
 		}
 	}
@@ -241,4 +252,44 @@ func FuzzAbsintSound(f *testing.F) {
 			t.Fatal(err)
 		}
 	})
+}
+
+// TestKindProjectionPrecisionGains pins the cells where the kind/error
+// projection (Value.Ab) is strictly finer than the standalone kind/error
+// fixpoint it replaced: a SUMIF whose test and sum ranges live on another
+// sheet is a well-formed range call, so it is exactly a number with no
+// #VALUE! possibility (the old pass accepted only same-sheet ranges). The
+// 16 cells are ledger summary!B2:B7 (five cross-sheet SUMIFs and their
+// SUM total) and inventory products!E2:E11 (ten cross-sheet SUMIFs); on
+// every other formula cell of the workload matrix the two agreed.
+func TestKindProjectionPrecisionGains(t *testing.T) {
+	number := typecheck.Abstract{Kinds: typecheck.KNumber}
+	cases := []struct {
+		gen   func(workload.Spec) *sheet.Workbook
+		sheet string
+		cells string
+	}{
+		{workload.Ledger, "summary", "B2:B7"},
+		{workload.Inventory, "products", "E2:E11"},
+	}
+	pinned := 0
+	for _, tc := range cases {
+		s := tc.gen(workload.Spec{Rows: 200, Seed: 7, Formulas: true}).Sheet(tc.sheet)
+		inf := absint.InferSheet(s)
+		r := cell.MustParseRange(tc.cells)
+		for row := r.Start.Row; row <= r.End.Row; row++ {
+			a := cell.Addr{Row: row, Col: r.Start.Col}
+			fc, ok := s.Formula(a)
+			if !ok || !strings.Contains(fc.Code.CanonicalText(), "SUM") {
+				t.Fatalf("%s!%s: fixture changed, want a SUMIF or its total", tc.sheet, a.A1())
+			}
+			if got := inf.At(a).Ab; got != number {
+				t.Errorf("%s!%s = %v, want %v", tc.sheet, a.A1(), got, number)
+			}
+			pinned++
+		}
+	}
+	if pinned != 16 {
+		t.Errorf("pinned %d cells, want 16", pinned)
+	}
 }

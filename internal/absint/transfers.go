@@ -7,11 +7,11 @@ import (
 	"repro/internal/typecheck"
 )
 
-// transfers maps every registered built-in to its abstract transfer. The
-// kind/error components are copied from the proven typecheck table; this
-// package adds the interval folds and constant propagation. Unlike
-// typecheck, the table is total over formula.FunctionNames() — lookups
-// included — and the coverage test enforces that; a builtin registered
+// transfers maps every registered built-in to its abstract transfer: the
+// kind/error component (typecheck.Abstract), refined with interval folds
+// and constant propagation. The table is total over
+// formula.FunctionNames() — lookups included — and the coverage test
+// enforces that; a builtin registered
 // later still defaults to top in evalCall, which is sound for every total
 // function (the latticecheck lint gates this package to keep that default
 // discipline in every switch). Filled in init to break the declaration
@@ -131,7 +131,7 @@ func builtinTransfers() map[string]func(*callCtx) Value {
 
 		// Logic. A certified-constant condition selects its branch — the
 		// checked constant-fold the engine consumes; otherwise the
-		// branches join as in typecheck.
+		// branches join.
 		"IF": func(c *callCtx) Value {
 			cond := c.scalar(0)
 			if cond.Const != nil {
@@ -329,7 +329,7 @@ func builtinTransfers() map[string]func(*callCtx) Value {
 		"VALUE": func(c *callCtx) Value { return number(c.textArgErrs()|typecheck.EValue, Full()) },
 		"EXACT": func(c *callCtx) Value { return boolean(c.textArgErrs() | typecheck.EValue) },
 
-		// Lookups — top in typecheck, modeled here. The result of a table
+		// Lookups. The result of a table
 		// lookup is a table cell or a failure error; MATCH is a 1-based
 		// position into its vector.
 		"VLOOKUP": tableLookup,

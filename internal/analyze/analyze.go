@@ -17,12 +17,12 @@ package analyze
 import (
 	"sort"
 
+	"repro/internal/absint"
 	"repro/internal/cell"
 	"repro/internal/formula"
 	"repro/internal/graph"
 	"repro/internal/regions"
 	"repro/internal/sheet"
-	"repro/internal/typecheck"
 )
 
 // Rule identifiers, one per analysis. Stable: they appear in JSON output
@@ -244,14 +244,16 @@ func analyzeSheet(s *sheet.Sheet, opt Options) *SheetReport {
 	emit := newEmitter(sr, opt)
 	shared := newSharedScan()
 
-	// One inference pass (internal/typecheck) shared by the type- and
-	// error-flow rules; like the graph above it is private to the analyzer.
-	inf := typecheck.InferSheet(s)
+	// One abstract-interpretation pass (internal/absint) per sheet, shared
+	// by the error-flow rules (its kind/error projection) and the lookup
+	// view (its column certificates); like the graph above it is private
+	// to the analyzer.
+	inf := absint.InferSheet(s)
 
-	// The lookup view (value analysis + sortedness rescans) materializes
+	// The lookup view's certificates and sortedness rescans materialize
 	// lazily on the first classifiable lookup call, so lookup-free sheets
-	// skip the absint pass entirely.
-	lv := newLookupView(s)
+	// skip them entirely.
+	lv := newLookupView(s, inf)
 
 	for _, f := range sites {
 		checkVolatile(emit, s, g, f)

@@ -196,21 +196,25 @@ func extLookupCells(f formulaSite) int64 {
 	return est
 }
 
-// lookupView lazily derives the sheet facts the lookup rules need. The
-// value analysis and the concrete sortedness rescans only run when the
-// sheet actually contains a classifiable lookup, so lookup-free sheets pay
-// nothing and their reports are unchanged.
+// lookupView lazily derives the sheet facts the lookup rules need from
+// the analyzer's shared inference. The column certificates and the
+// concrete sortedness rescans only materialize when the sheet actually
+// contains a classifiable lookup, so lookup-free sheets pay nothing and
+// their reports are unchanged.
 type lookupView struct {
 	s    *sheet.Sheet
+	inf  *absint.Inference
 	cert *absint.SheetCert
 	runs map[[3]int]bool // (col, r0, r1) -> SortedAscRun, memoized
 }
 
-func newLookupView(s *sheet.Sheet) *lookupView { return &lookupView{s: s} }
+func newLookupView(s *sheet.Sheet, inf *absint.Inference) *lookupView {
+	return &lookupView{s: s, inf: inf}
+}
 
 func (lv *lookupView) certFor() *absint.SheetCert {
 	if lv.cert == nil {
-		lv.cert = absint.InferSheet(lv.s).Certify()
+		lv.cert = lv.inf.Certify()
 	}
 	return lv.cert
 }

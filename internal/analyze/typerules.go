@@ -1,13 +1,14 @@
-// Rules built on static type & error-flow inference (internal/typecheck):
-// unlike the sampling heuristics in rules.go, these consume the sound
-// per-cell possibility sets the abstract interpreter computes, so they see
-// through formula chains without reading any cached results.
+// Rules built on the kind/error projection (Value.Ab) of the abstract
+// interpreter (internal/absint): unlike the sampling heuristics in
+// rules.go, these consume the sound per-cell possibility sets it computes,
+// so they see through formula chains without reading any cached results.
 
 package analyze
 
 import (
 	"fmt"
 
+	"repro/internal/absint"
 	"repro/internal/cell"
 	"repro/internal/formula"
 	"repro/internal/graph"
@@ -24,14 +25,14 @@ import (
 // report points at the root cause. Cost is the blast radius. Cycle errors
 // are excluded: RuleCycle already reports those cells, and their
 // "possibility" is a certainty.
-func checkErrorBlast(e *emitter, s *sheet.Sheet, g *graph.Graph, inf *typecheck.Inference, f formulaSite, opt Options) {
-	errs := inf.At(f.at).Errs &^ typecheck.ECycle
+func checkErrorBlast(e *emitter, s *sheet.Sheet, g *graph.Graph, inf *absint.Inference, f formulaSite, opt Options) {
+	errs := inf.At(f.at).Ab.Errs &^ typecheck.ECycle
 	if errs == 0 {
 		return
 	}
 	var inherited typecheck.Errs
 	for _, r := range f.code.PrecedentRanges(f.dr, f.dc) {
-		inherited |= inf.RangeJoin(r).Errs
+		inherited |= inf.RangeJoin(r).Ab.Errs
 	}
 	introduced := errs &^ inherited
 	if introduced == 0 {
@@ -59,7 +60,7 @@ func checkErrorBlast(e *emitter, s *sheet.Sheet, g *graph.Graph, inf *typecheck.
 // so the finding fires from CoercionMinCells cells. Cost is the range
 // size. The inferred kind join (not a sample) decides whether text is
 // possible, so a single text cell anywhere in a 500k-row column is seen.
-func checkCoercion(e *emitter, s *sheet.Sheet, inf *typecheck.Inference, f formulaSite, opt Options) {
+func checkCoercion(e *emitter, s *sheet.Sheet, inf *absint.Inference, f formulaSite, opt Options) {
 	formula.Walk(f.code.Root, func(n formula.Node) {
 		call, ok := n.(formula.CallNode)
 		if !ok {
@@ -85,7 +86,7 @@ func checkCoercion(e *emitter, s *sheet.Sheet, inf *typecheck.Inference, f formu
 		if cells < opt.CoercionMinCells {
 			return
 		}
-		if inf.RangeJoin(r).Kinds&typecheck.KText == 0 {
+		if inf.RangeJoin(r).Ab.Kinds&typecheck.KText == 0 {
 			return
 		}
 		e.emit(Finding{

@@ -3,6 +3,8 @@ package cell
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quickseed"
 )
 
 func TestColName(t *testing.T) {
@@ -34,7 +36,7 @@ func TestColNameRoundTripProperty(t *testing.T) {
 		back, err := ParseColName(ColName(c))
 		return err == nil && back == c
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }
@@ -90,7 +92,7 @@ func TestAddrA1RoundTripProperty(t *testing.T) {
 		back, err := ParseAddr(a.A1())
 		return err == nil && back == a
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/quickseed"
 )
 
 func TestValueConstructors(t *testing.T) {
@@ -156,7 +158,7 @@ func TestCompareAntisymmetryProperty(t *testing.T) {
 		a, b := gen(k1, n1, s1), gen(k2, n2, s2)
 		return sign(a.Compare(b)) == -sign(b.Compare(a))
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }
@@ -172,7 +174,7 @@ func TestCompareTransitivityProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }
@@ -187,7 +189,7 @@ func TestEqualFoldCompareFoldConsistency(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }

@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/quickseed"
 )
 
 func TestMeterAddCountReset(t *testing.T) {
@@ -61,7 +63,7 @@ func TestCoefficientsTimeLinearityProperty(t *testing.T) {
 		both.Add(FormulaEval, int64(n1)+int64(n2))
 		return c.Time(&a)+c.Time(&b) == c.Time(&both)
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }

@@ -278,7 +278,6 @@ func OptimizedProfile() Profile {
 		RedundantElimination:  true,
 		SortRecalcAnalysis:    true,
 		LazyOpen:              true,
-		TypedColumns:          true,
 		RegionGraph:           true,
 		ValueCerts:            true,
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cell"
+	"repro/internal/quickseed"
 	"repro/internal/sheet"
 	"repro/internal/workload"
 )
@@ -102,7 +103,7 @@ func TestProfilesComputeIdenticalValues(t *testing.T) {
 			ops = ops[:8]
 		}
 		return run(ops)
-	}, &quick.Config{MaxCount: 20}); err != nil {
+	}, quickseed.Config(t, 20)); err != nil {
 		t.Error(err)
 	}
 }

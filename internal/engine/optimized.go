@@ -9,7 +9,6 @@ import (
 	"repro/internal/formula"
 	"repro/internal/index"
 	"repro/internal/sheet"
-	"repro/internal/typecheck"
 )
 
 // optState holds the per-sheet optimization structures of §6. Structures
@@ -23,12 +22,13 @@ type optState struct {
 	inverted *index.Inverted
 	fpCache  map[uint64]fpEntry
 	aggs     map[cell.Addr]*aggMat
-	// typed holds the static type checker's column certificates: every
-	// data-row cell of a certified column is statically exactly a number
-	// and the column hosts no formulas, so typed columnar fills skip the
-	// per-cell kind dispatch. Certificates are dropped the moment a write
-	// or formula insert could break them (noteCellChange,
-	// noteFormulaResult, rebuildAfterReorder).
+	// typed holds the numeric value-column certificates seeded from the
+	// install-time value certificate (issueValueCert): every data-row cell
+	// of a certified column holds a number and the column hosts no
+	// formulas, so typed columnar fills skip the per-cell kind dispatch.
+	// Unlike the value certificate, which any cell change retires, these
+	// survive until a write or formula insert could break them
+	// (noteCellChange, noteFormulaResult, rebuildAfterReorder).
 	typed map[int]bool
 	// colVer records, per column, the optState version of the column's
 	// last value change; sorted caches ascending-run checks keyed by that
@@ -103,14 +103,6 @@ func (e *Engine) buildOptState(s *sheet.Sheet) *optState {
 		sorted:  make(map[int]sortedCert),
 	}
 	e.opts[s] = st
-	if e.prof.Opt.TypedColumns {
-		// The install pre-flight: run the static type checker and keep the
-		// numeric value-column certificates. Inference reads only stored
-		// values and formula ASTs (never the meter), so nothing to snapshot.
-		for _, col := range typecheck.NumericDataColumns(s) {
-			st.typed[col] = true
-		}
-	}
 	if e.prof.Opt.SharedComputation {
 		// Like the rest of setup (§6 builds asynchronously), the eager
 		// build is not charged: snapshot and restore the meter around it.
@@ -177,9 +169,9 @@ func (st *optState) prefixFor(e *Engine, s *sheet.Sheet, col int) *index.PrefixS
 	present := make([]bool, rows)
 	errs := make([]bool, rows)
 	if (st.typed[col] || e.certNumericCol(s, col)) && rows > 0 {
-		// Certified all-numeric value column — by the static type checker
-		// or by the abstract interpreter's error-free numeric-run
-		// certificate: fill the typed columnar storage without per-cell
+		// Certified all-numeric column — a value column seeded at install or
+		// any column the current value certificate proves error-free
+		// numeric: fill the typed columnar storage without per-cell
 		// coercion checks. Row 0 is the header, outside the certificate,
 		// and keeps the generic dispatch.
 		if v := s.Value(cell.Addr{Row: 0, Col: col}); v.Kind == cell.Number {

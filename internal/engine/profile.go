@@ -121,11 +121,6 @@ type Optimizations struct {
 	// LazyOpen loads only the visible window eagerly, resolving the rest
 	// in the background (§6, generalizing Google Sheets' behavior).
 	LazyOpen bool
-	// TypedColumns consumes the static type checker's column certificates
-	// (internal/typecheck): columns proven all-numeric fill typed columnar
-	// storage without per-cell coercion checks (§6 "Indexing and data
-	// layout" meets the analysis pass).
-	TypedColumns bool
 	// RegionGraph sequences recalculation over inferred uniform fill
 	// regions (internal/regions) instead of per-cell graph nodes — the
 	// shared-formula compression real engines apply to filled columns, run
@@ -133,11 +128,13 @@ type Optimizations struct {
 	// the sheet's regions cannot be ordered.
 	RegionGraph bool
 	// ValueCerts consumes the abstract interpreter's value certificates
-	// (internal/absint): certified ascending lookup columns switch
-	// VLOOKUP/MATCH from linear scan to binary search, certified
-	// error-free numeric columns extend the typed columnar fills, and
-	// certified-constant formula cells are skipped by calc passes under a
-	// per-use value guard (internal/engine/valuecert.go).
+	// (internal/absint): certified error-free numeric columns fill typed
+	// columnar storage without per-cell coercion checks (§6 "Indexing and
+	// data layout" meets the analysis pass), and formula-free ones keep
+	// that certificate until a write into the column; certified ascending
+	// lookup columns switch VLOOKUP/MATCH from linear scan to binary
+	// search; and certified-constant formula cells are skipped by calc
+	// passes under a per-use value guard (internal/engine/valuecert.go).
 	ValueCerts bool
 	// CostPlanner replaces the hard-wired strategy choices above with a
 	// cost-based plan (internal/plan): per-column statistics and priced

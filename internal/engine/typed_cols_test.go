@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cell"
+	"repro/internal/formula"
 	"repro/internal/sheet"
 	"repro/internal/workload"
 )
@@ -34,15 +35,15 @@ func typedColsCompare(t *testing.T, label string, ref, got *sheet.Sheet) {
 	}
 }
 
-// TestTypedColumnsDifferential is the acceptance gate for the TypedColumns
-// optimization: for every weather workbook size in the standard matrix, the
-// optimized engine — consuming the type checker's numeric column
+// TestTypedColumnsDifferential is the acceptance gate for the typed-column
+// fills (part of ValueCerts): for every weather workbook size in the
+// standard matrix, the optimized engine — consuming the numeric value-column
 // certificates at install — must produce results byte-identical to the
 // naive engine. Certificates may only change WHERE values are read from,
 // never WHAT they are.
 func TestTypedColumnsDifferential(t *testing.T) {
-	if !Profiles()["optimized"].Opt.TypedColumns {
-		t.Fatal("optimized profile does not enable TypedColumns")
+	if !Profiles()["optimized"].Opt.ValueCerts {
+		t.Fatal("optimized profile does not enable ValueCerts")
 	}
 	for _, rows := range workload.SizesUpTo(25000) {
 		t.Run(fmt.Sprintf("rows=%d", rows), func(t *testing.T) {
@@ -132,4 +133,34 @@ func TestTypedColumnsInvalidation(t *testing.T) {
 			fmt.Sprintf("=SUM(A2:A%d)", rows+1))
 		return err
 	})
+}
+
+// TestTypedColumnsSeededAtInstall pins the certificate set the install
+// pre-flight seeds: value-only columns whose every data row holds a
+// number. A formula column stays out even when its results are numbers
+// (its caches change without a write the optimizer observes), and so does
+// a column with an empty gap or a text cell. The header row is outside the
+// certificate.
+func TestTypedColumnsSeededAtInstall(t *testing.T) {
+	s := sheet.New("cert", 4, 4)
+	for c, h := range []string{"n", "t", "f", "e"} {
+		s.SetValue(cell.Addr{Row: 0, Col: c}, cell.Str(h))
+	}
+	for r := 1; r < 4; r++ {
+		s.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
+		s.SetValue(cell.Addr{Row: r, Col: 1}, cell.Str("x"))
+		s.SetFormula(cell.Addr{Row: r, Col: 2}, formula.MustCompile("=1+1"))
+	}
+	s.SetValue(cell.Addr{Row: 1, Col: 3}, cell.Num(5))
+	wb := sheet.NewWorkbook()
+	if err := wb.Add(s); err != nil {
+		t.Fatal(err)
+	}
+	e := New(OptimizedProfile())
+	if err := e.Install(wb); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.opts[s].typed; len(got) != 1 || !got[0] {
+		t.Errorf("typed columns = %v, want only column 0", got)
+	}
 }

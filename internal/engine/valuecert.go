@@ -68,11 +68,16 @@ func (e *Engine) issueValueCert(s *sheet.Sheet) *valueCertEntry {
 		// Statically certified ascending runs seed the sortedness cache:
 		// interval separation already proved the concrete values are an
 		// ascending all-Number run, so the first lookup skips even the
-		// verification rescan.
+		// verification rescan. Formula-free columns holding a number in
+		// every data row seed the typed-column certificates, which
+		// outlive this certificate until a write into the column.
 		for i := range cert.Columns {
 			cc := &cert.Columns[i]
 			if cc.Dir == absint.DirAsc && cc.NumericFrom <= cc.R1 {
 				st.noteSorted(cc.Col, cc.NumericFrom, cc.R1, true)
+			}
+			if !cc.HasFormula && cc.NumericFrom <= 1 && cc.R1 >= 1 && cc.R1 == s.Rows()-1 {
+				st.typed[cc.Col] = true
 			}
 		}
 	}
@@ -125,9 +130,9 @@ func (e *Engine) certConst(s *sheet.Sheet, a cell.Addr) (cell.Value, bool) {
 
 // certNumericCol reports whether the value certificate proves every
 // data-row cell of the column (rows 1..Rows()-1, row 0 being the header)
-// is an error-free Number — the same contract the type checker's typed
-// columns satisfy, extended to columns only inference can certify (e.g.
-// formula columns with statically error-free numeric results).
+// is an error-free Number — the same contract the typed value columns
+// satisfy, extended to columns only inference can certify (e.g. formula
+// columns with statically error-free numeric results).
 func (e *Engine) certNumericCol(s *sheet.Sheet, col int) bool {
 	if !e.prof.Opt.ValueCerts {
 		return false

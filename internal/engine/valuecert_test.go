@@ -241,7 +241,7 @@ func TestValueCertConstSkip(t *testing.T) {
 }
 
 // TestValueCertNumericColumn checks the inference extends typed columnar
-// fills to formula columns the type checker cannot certify, and that a
+// fills to formula columns the value-column scan cannot certify, and that a
 // non-numeric write retires the claim.
 func TestValueCertNumericColumn(t *testing.T) {
 	const rows = 60

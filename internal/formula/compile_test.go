@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cell"
+	"repro/internal/quickseed"
 )
 
 func TestCompileExtractsRefs(t *testing.T) {
@@ -61,7 +62,7 @@ func TestFingerprintStabilityProperty(t *testing.T) {
 		text := texts[int(i)%len(texts)]
 		return MustCompile(text).Fingerprint == MustCompile(text).Fingerprint
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }
@@ -153,7 +154,7 @@ func TestRewriteRelativeReparses(t *testing.T) {
 		_, err := Compile(out)
 		return err == nil
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }

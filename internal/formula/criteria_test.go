@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cell"
+	"repro/internal/quickseed"
 )
 
 func TestCriteriaNumeric(t *testing.T) {
@@ -117,7 +118,7 @@ func TestWildMatchMatchesNaive(t *testing.T) {
 		s := gen(seed^0xdead, strAlphabet, int(sn%8))
 		return wildMatch(p, s) == naive(p, s)
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 2000)); err != nil {
 		t.Error(err)
 	}
 }

@@ -50,8 +50,8 @@ func FunctionNames() []string {
 }
 
 // FunctionArity returns the registered argument bounds of a built-in
-// (max == -1 means variadic); ok is false for unknown names. The static
-// type checker (internal/typecheck) uses this to mirror evalCall's arity
+// (max == -1 means variadic); ok is false for unknown names. The abstract
+// interpreter (internal/absint) uses this to mirror evalCall's arity
 // validation without evaluating.
 func FunctionArity(name string) (min, max int, ok bool) {
 	f, ok := functions[name]

@@ -35,7 +35,6 @@ import (
 	"repro/internal/regions"
 	"repro/internal/sheet"
 	"repro/internal/tracelang"
-	"repro/internal/typecheck"
 	"repro/internal/workload"
 )
 
@@ -50,8 +49,8 @@ type Config struct {
 	Seed     uint64 // generator seed (dataset and op sequence)
 	// Profiles to run in lockstep; nil means every registered profile.
 	Profiles []string
-	// Checks enables the per-op analysis cross-checks (typecheck
-	// soundness, certificate stage monotonicity) on the baseline engine.
+	// Checks enables the per-op analysis cross-checks (absint soundness,
+	// certificate stage monotonicity) on the baseline engine.
 	Checks bool
 	// AfterOp, when set, runs after each op on each engine before states
 	// are compared — the fault-injection port the mutation tests use to
@@ -75,7 +74,7 @@ func (c Config) profiles() []string {
 type Failure struct {
 	OpIndex int // 0-based index of the op after which the divergence appeared; -1 = post-install
 	Op      tracelang.Op
-	Kind    string // "config", "install", "state", "error", "typecheck", "absint", "stagecert"
+	Kind    string // "config", "install", "state", "error", "absint", "stagecert"
 	Detail  string
 	Ops     []tracelang.Op // the executed ops through OpIndex
 }
@@ -231,22 +230,15 @@ func diverged(execs map[string]*tracelang.Exec, profs []string) string {
 func checkAnalyses(x *tracelang.Exec) (kind, detail string) {
 	s := x.S
 
-	// Type inference must admit every computed formula value: the abstract
-	// interpreter promises an over-approximation of the evaluator.
-	inf := typecheck.InferSheet(s)
+	// The abstract interpreter promises an over-approximation of the
+	// evaluator: every computed formula value must be admitted by its
+	// abstract value — kind/error projection first (Value.Admits checks
+	// Ab.Admits), then interval and constant — no matter what edits the
+	// fuzzer applied.
+	inf := absint.InferSheet(s)
 	for _, a := range inf.FormulaCells() {
 		if v := s.Value(a); !inf.At(a).Admits(v) {
-			return "typecheck", fmt.Sprintf("%s!%s: inferred %v does not admit computed %+v", s.Name, a.A1(), inf.At(a), v)
-		}
-	}
-
-	// The abstract interpreter refines the same promise with intervals,
-	// error bits, and constants; every computed value must lie inside its
-	// abstract value no matter what edits the fuzzer applied.
-	vinf := absint.InferSheet(s)
-	for _, a := range vinf.FormulaCells() {
-		if v := s.Value(a); !vinf.At(a).Admits(v) {
-			return "absint", fmt.Sprintf("%s!%s: inferred %s does not admit computed %+v", s.Name, a.A1(), vinf.At(a), v)
+			return "absint", fmt.Sprintf("%s!%s: inferred %s does not admit computed %+v", s.Name, a.A1(), inf.At(a), v)
 		}
 	}
 

@@ -152,43 +152,90 @@ func (t *BTree) Contains(row int, v cell.Value) bool {
 }
 
 // Remove deletes the pair (v, row) if present, returning whether it was.
-// Leaves are shrunk without rebalancing — single-cell edits are rare
-// relative to reads in the benchmark workloads, and an unbalanced-but-
-// correct tree only costs constant-factor depth.
+// It keeps the invariants Add maintains — every non-root node holds at
+// least minItems items and all leaves sit at the same depth — by
+// rebalancing each short node on the way back up (see rebalance).
 func (t *BTree) Remove(row int, v cell.Value) bool {
-	if v.IsEmpty() || !t.Contains(row, v) {
+	if v.IsEmpty() {
 		return false
 	}
-	it := btItem{val: v, row: int32(row)}
-	n := t.root
-	for {
-		n.size--
-		i := search(n.items, it)
-		if i < len(n.items) && !less(it, n.items[i]) {
-			if n.leaf() {
-				n.items = append(n.items[:i], n.items[i+1:]...)
-				return true
-			}
-			// Swap in the predecessor (max of left subtree), then delete
-			// it from its leaf, maintaining sizes along the way.
-			pred := n.children[i]
-			for {
-				pred.size--
-				if pred.leaf() {
-					break
-				}
-				pred = pred.children[len(pred.children)-1]
-			}
-			n.items[i] = pred.items[len(pred.items)-1]
-			pred.items = pred.items[:len(pred.items)-1]
-			return true
-		}
-		if n.leaf() {
-			// Contains said yes but the item vanished: logic error.
-			panic("index: BTree.Remove lost item")
-		}
-		n = n.children[i]
+	if !t.remove(t.root, btItem{val: v, row: int32(row)}) {
+		return false
 	}
+	if len(t.root.items) == 0 && !t.root.leaf() {
+		t.root = t.root.children[0] // a merge emptied the root
+	}
+	return true
+}
+
+// minItems is the fewest items a non-root node may hold: a split of a
+// full node leaves at least this many on each side, and a merge of a short
+// node with a minimal sibling fits within the order.
+func (t *BTree) minItems() int { return (t.order - 1) / 2 }
+
+// remove deletes it from n's subtree, reporting whether it was present.
+// The child it descended into is rebalanced before returning, so only the
+// root may be left short.
+func (t *BTree) remove(n *btNode, it btItem) bool {
+	i := search(n.items, it)
+	found := i < len(n.items) && !less(it, n.items[i])
+	if n.leaf() {
+		if !found {
+			return false
+		}
+		n.items = append(n.items[:i], n.items[i+1:]...)
+		n.size--
+		return true
+	}
+	if found {
+		// Swap in the predecessor: the maximum of the left subtree.
+		n.items[i] = t.removeMax(n.children[i])
+	} else if !t.remove(n.children[i], it) {
+		return false
+	}
+	n.size--
+	t.rebalance(n, i)
+	return true
+}
+
+// removeMax deletes and returns the largest item of n's subtree.
+func (t *BTree) removeMax(n *btNode) btItem {
+	n.size--
+	if n.leaf() {
+		last := n.items[len(n.items)-1]
+		n.items = n.items[:len(n.items)-1]
+		return last
+	}
+	i := len(n.children) - 1
+	it := t.removeMax(n.children[i])
+	t.rebalance(n, i)
+	return it
+}
+
+// rebalance restores the minimum occupancy of n.children[i] after a
+// removal below it: the short child, its separator and a sibling merge
+// into one node, which is split evenly again around a new separator when
+// it would overflow the order.
+func (t *BTree) rebalance(n *btNode, i int) {
+	if len(n.children[i].items) >= t.minItems() {
+		return
+	}
+	if i == len(n.items) {
+		i-- // the last child pairs with its left sibling
+	}
+	l, r := n.children[i], n.children[i+1]
+	m := &btNode{
+		items:    append(append(append([]btItem(nil), l.items...), n.items[i]), r.items...),
+		children: append(append([]*btNode(nil), l.children...), r.children...),
+		size:     l.size + 1 + r.size,
+	}
+	if len(m.items) > t.order {
+		n.children[i], n.items[i], n.children[i+1] = split(m)
+		return
+	}
+	n.children[i] = m
+	n.items = append(n.items[:i], n.items[i+1:]...)
+	n.children = append(n.children[:i+1], n.children[i+2:]...)
 }
 
 // Replace updates the index for a single cell edit.

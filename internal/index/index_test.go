@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cell"
+	"repro/internal/quickseed"
 )
 
 func TestHashBasics(t *testing.T) {
@@ -92,7 +93,7 @@ func TestHashMatchesNaive(t *testing.T) {
 		}
 		return !found || gotFirst == wantFirst
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -143,7 +144,7 @@ func TestBTreeCountMatchesNaive(t *testing.T) {
 		lt, _ := bt.CountLT(query)
 		return le == wantLE && lt == wantLT
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -174,6 +175,9 @@ func TestBTreeRemove(t *testing.T) {
 	if !bt.Remove(15, cell.Num(5)) {
 		t.Fatal("remove existing failed")
 	}
+	if err := bt.check(); err != nil {
+		t.Fatal(err)
+	}
 	if bt.Remove(15, cell.Num(5)) {
 		t.Error("double remove should fail")
 	}
@@ -201,7 +205,7 @@ func TestBTreeAddRemoveProperty(t *testing.T) {
 	f := func(ops []op) bool {
 		bt := NewBTree(4)
 		ref := make(map[[2]int]bool)
-		for _, o := range ops {
+		for i, o := range ops {
 			row, val := int(o.Row%32), float64(o.Val%8)
 			key := [2]int{row, int(val)}
 			if o.Add && !ref[key] {
@@ -212,6 +216,13 @@ func TestBTreeAddRemoveProperty(t *testing.T) {
 					return false
 				}
 				delete(ref, key)
+			} else if !o.Add && bt.Remove(row, cell.Num(val)) {
+				t.Logf("op %d: removed absent pair (%d, %v)", i, row, val)
+				return false
+			}
+			if err := bt.check(); err != nil {
+				t.Logf("op %d (%+v): %v", i, o, err)
+				return false
 			}
 		}
 		if bt.Len() != len(ref) {
@@ -224,7 +235,7 @@ func TestBTreeAddRemoveProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 300)); err != nil {
 		t.Error(err)
 	}
 }
@@ -363,7 +374,7 @@ func TestPrefixSumsMatchNaive(t *testing.T) {
 		}
 		return p.Sum(lo, hi) == wantSum && p.Count(lo, hi) == wantCount
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 500)); err != nil {
 		t.Error(err)
 	}
 }
@@ -405,5 +416,49 @@ func TestInvertedLookupSubstring(t *testing.T) {
 	// Multi-token queries fall back to exact intersection.
 	if hits, _ := ix.LookupSubstring("XSNOW warning"); len(hits) != 1 || hits[0] != a1 {
 		t.Errorf("multi-token = %v", hits)
+	}
+}
+
+// TestBTreeDeleteHeavy drains deep trees in a random order with duplicate
+// values, the shape of a long edit session over an indexed column: every
+// removal must keep the invariants, and counts must match a naive tally
+// until the tree is empty again.
+func TestBTreeDeleteHeavy(t *testing.T) {
+	for _, order := range []int{4, 5, 32} {
+		bt := NewBTree(order)
+		rng := rand.New(rand.NewSource(int64(order)))
+		const n = 3000
+		vals := make([]float64, n)
+		live := make([]bool, n)
+		for i := range vals {
+			vals[i] = float64(rng.Intn(50))
+			live[i] = true
+			bt.Add(i, cell.Num(vals[i]))
+		}
+		for step, i := range rng.Perm(n) {
+			if !bt.Remove(i, cell.Num(vals[i])) {
+				t.Fatalf("order %d: remove of live row %d failed", order, i)
+			}
+			live[i] = false
+			if err := bt.check(); err != nil {
+				t.Fatalf("order %d, step %d: %v", order, step, err)
+			}
+			if step%97 != 0 {
+				continue
+			}
+			q := float64(rng.Intn(50))
+			want := 0
+			for j, v := range vals {
+				if live[j] && v <= q {
+					want++
+				}
+			}
+			if got, _ := bt.CountLE(cell.Num(q)); got != want {
+				t.Fatalf("order %d, step %d: CountLE(%v) = %d, want %d", order, step, q, got, want)
+			}
+		}
+		if bt.Len() != 0 || bt.Depth() != 1 {
+			t.Errorf("order %d: drained tree has Len %d, Depth %d", order, bt.Len(), bt.Depth())
+		}
 	}
 }

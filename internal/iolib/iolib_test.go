@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/formula"
+	"repro/internal/quickseed"
 	"repro/internal/sheet"
 	"repro/internal/workload"
 )
@@ -116,7 +117,7 @@ func TestSVFWeatherRoundTripProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 30)); err != nil {
 		t.Error(err)
 	}
 }

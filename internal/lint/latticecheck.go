@@ -1,8 +1,8 @@
 // The latticecheck analyzer: abstract-domain dispatch must be exhaustive
-// by construction. The abstract interpreter (internal/absint) and the type
-// inference (internal/typecheck) promise over-approximation — every
-// concrete value a formula can produce must be admitted by the inferred
-// abstract value. That promise breaks silently when a switch over a domain
+// by construction. The abstract interpreter (internal/absint) and its
+// kind/error domain (internal/typecheck) promise over-approximation —
+// every concrete value a formula can produce must be admitted by the
+// inferred abstract value. That promise breaks silently when a switch over a domain
 // discriminant has no default clause: adding an AST node kind, an
 // operator, a builtin, or a value kind later makes the old switch fall
 // through and the function return its zero value, which in a lattice is

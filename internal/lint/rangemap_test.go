@@ -39,7 +39,7 @@ func TestGoodPackageIsClean(t *testing.T) {
 // TestOrderingSensitivePackagesAreClean is the real gate: the packages
 // whose output feeds golden files and calc chains must pass the lint.
 func TestOrderingSensitivePackagesAreClean(t *testing.T) {
-	for _, dir := range []string{"../graph", "../analyze", "../workload", "../typecheck"} {
+	for _, dir := range []string{"../graph", "../analyze", "../workload", "../absint", "../typecheck"} {
 		diags, err := CheckDir(dir)
 		if err != nil {
 			t.Fatalf("%s: %v", dir, err)

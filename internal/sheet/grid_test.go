@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cell"
+	"repro/internal/quickseed"
 )
 
 func TestGridBasics(t *testing.T) {
@@ -101,7 +102,7 @@ func TestGridLayoutEquivalence(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 200)); err != nil {
 		t.Error(err)
 	}
 }

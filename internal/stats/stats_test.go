@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/quickseed"
 )
 
 func ms(xs ...int) []time.Duration {
@@ -51,7 +53,7 @@ func TestTrimmedMeanBoundsProperty(t *testing.T) {
 		m := TrimmedMean(samples)
 		return m >= lo && m <= hi
 	}
-	if err := quick.Check(f, nil); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 0)); err != nil {
 		t.Error(err)
 	}
 }

@@ -1,13 +1,15 @@
 // Error-flow agreement tests: for the absorption and propagation shapes
 // the ISSUE singles out (IFERROR / ISERROR absorbing, MOD and division
-// propagating #DIV/0!), the evaluator's concrete result and the typecheck
-// lattice must agree — every observed value admitted, and absorbed errors
-// absent from the inferred possibility set.
+// propagating #DIV/0!), the evaluator's concrete result and the kind/error
+// projection of the abstract interpreter (absint Value.Ab) must agree —
+// every observed value admitted, and absorbed errors absent from the
+// inferred possibility set.
 package typecheck_test
 
 import (
 	"testing"
 
+	"repro/internal/absint"
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/formula"
@@ -67,18 +69,20 @@ func TestErrorFlowAgreement(t *testing.T) {
 			inferred: typecheck.Abstract{Kinds: typecheck.KNumber},
 		},
 		{
-			name:     "division by zero cell propagates DIV0",
-			values:   map[string]cell.Value{"A1": cell.Num(7), "A2": cell.Num(0)},
-			formula:  "=A1/A2",
-			want:     cell.Errorf(cell.ErrDiv0),
-			inferred: typecheck.Abstract{Kinds: typecheck.KNumber, Errs: typecheck.EDiv0},
+			name:    "division by zero cell propagates DIV0",
+			values:  map[string]cell.Value{"A1": cell.Num(7), "A2": cell.Num(0)},
+			formula: "=A1/A2",
+			want:    cell.Errorf(cell.ErrDiv0),
+			// Both operands are known values, so the division folds to
+			// exactly #DIV/0!.
+			inferred: typecheck.Abstract{Errs: typecheck.EDiv0},
 		},
 		{
 			name:     "DIV0 propagates through arithmetic",
 			values:   map[string]cell.Value{"A1": cell.Num(7), "A2": cell.Num(0)},
 			formula:  "=(A1/A2)+1",
 			want:     cell.Errorf(cell.ErrDiv0),
-			inferred: typecheck.Abstract{Kinds: typecheck.KNumber, Errs: typecheck.EDiv0},
+			inferred: typecheck.Abstract{Errs: typecheck.EDiv0},
 		},
 		{
 			name:     "DIV0 propagates through SUM",
@@ -121,7 +125,7 @@ func TestErrorFlowAgreement(t *testing.T) {
 			s := mkSheet(t, tc.values, map[string]string{"D1": tc.formula})
 			d1 := cell.MustParseAddr("D1")
 			// Inference runs before evaluation — it must not need results.
-			ab := typecheck.InferSheet(s).At(d1)
+			ab := absint.InferSheet(s).At(d1).Ab
 			if ab != tc.inferred {
 				t.Errorf("inferred %v, want %v", ab, tc.inferred)
 			}
@@ -146,9 +150,9 @@ func TestAbsorbedErrorsStayAbsorbed(t *testing.T) {
 		"B2": "=ISERROR(MOD(A1,A2))",
 		"B3": "=B1+B2", // depends only on absorbed results
 	})
-	inf := typecheck.InferSheet(s)
+	inf := absint.InferSheet(s)
 	for _, a1 := range []string{"B1", "B2", "B3"} {
-		if ab := inf.At(cell.MustParseAddr(a1)); ab.MayError() {
+		if ab := inf.At(cell.MustParseAddr(a1)).Ab; ab.MayError() {
 			t.Errorf("%s: absorbed error leaked into %v", a1, ab)
 		}
 	}

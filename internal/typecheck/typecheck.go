@@ -1,28 +1,23 @@
-// Package typecheck is a static type and error-flow inference pass for the
-// formula language: an abstract interpreter over compiled formula ASTs
-// (internal/formula) and the dependency graph (internal/graph) that
-// computes, without evaluating a single formula, a kind lattice per cell
-// (number / text / bool / empty) plus an error-possibility set (#DIV/0!,
-// #VALUE!, #REF!, #N/A, #NAME?, #CYCLE!), propagated in topological order
-// across the whole sheet with a fixpoint loop for ranges and volatile
-// cells.
+// Package typecheck is the kind/error domain of the formula language's
+// static analysis: a kind lattice per cell (number / text / bool / empty)
+// plus an error-possibility set (#DIV/0!, #VALUE!, #REF!, #N/A, #NAME?,
+// #CYCLE!), with the join, the abstraction of a concrete value (Exactly)
+// and the soundness relation (Admits).
 //
 // The paper's central finding is that the benchmarked systems execute
 // formulas with essentially no prior analysis; the database-style
 // optimizations of §6 all need static knowledge — which columns are
-// numeric, which formulas can error, where errors flow. This package is
-// that knowledge. It feeds three consumers: the `sheetcli typecheck`
-// report, the error-blast-radius and coercion-hot-path analyzer rules
-// (internal/analyze), and the typed-column certificates the optimized
-// engine consumes at install time (internal/engine/optimized.go).
+// numeric, which formulas can error, where errors flow. The abstract
+// interpreter that computes that knowledge lives in internal/absint, whose
+// values carry this domain as their kind/error projection (Value.Ab). That
+// projection feeds the `sheetcli typecheck` report
+// (absint.TypecheckWorkbook) and the error-blast-radius and
+// coercion-hot-path analyzer rules (internal/analyze).
 //
 // Soundness contract: for every cell, the value observed after evaluation
-// is admitted by the inferred abstraction (Abstract.Admits). Transfer
-// functions are sharp where the benchmark needs precision (aggregates,
-// arithmetic, logic, the COUNTIF family) and deliberately conservative
-// elsewhere (lookups and other unmodeled built-ins go to top). The
-// differential soundness test in soundness_test.go checks the contract
-// against the evaluator over the full weather workload matrix.
+// is admitted by the inferred abstraction (Abstract.Admits); absint's
+// differential soundness tests check it against the evaluator over every
+// workload generator.
 package typecheck
 
 import (

@@ -1,207 +1,10 @@
 package typecheck
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/cell"
-	"repro/internal/formula"
-	"repro/internal/sheet"
 )
-
-// mkSheet builds a sheet from A1-keyed cell values and formula texts.
-func mkSheet(t *testing.T, values map[string]cell.Value, formulas map[string]string) *sheet.Sheet {
-	t.Helper()
-	s := sheet.New("test", 12, 8)
-	for a1, v := range values {
-		s.SetValue(cell.MustParseAddr(a1), v)
-	}
-	for a1, text := range formulas {
-		c, err := formula.Compile(text)
-		if err != nil {
-			t.Fatalf("compile %q: %v", text, err)
-		}
-		s.SetFormula(cell.MustParseAddr(a1), c)
-	}
-	return s
-}
-
-// at infers the sheet and returns one cell's abstraction.
-func at(t *testing.T, s *sheet.Sheet, a1 string) Abstract {
-	t.Helper()
-	return InferSheet(s).At(cell.MustParseAddr(a1))
-}
-
-func TestLiteralAndValueCellAbstractions(t *testing.T) {
-	s := mkSheet(t, map[string]cell.Value{
-		"A1": cell.Num(3),
-		"A2": cell.Str("hi"),
-		"A3": cell.Boolean(true),
-		"A4": cell.Errorf(cell.ErrNA),
-	}, map[string]string{
-		"B1": "=A1",
-		"B2": "=A2",
-		"B3": "=A3",
-		"B4": "=A4",
-		"B5": "=A5", // empty cell
-		"B6": `="x"`,
-	})
-	inf := InferSheet(s)
-	for a1, want := range map[string]Abstract{
-		"B1": {Kinds: KNumber},
-		"B2": {Kinds: KText},
-		"B3": {Kinds: KBool},
-		"B4": {Errs: ENA},
-		"B5": {Kinds: KEmpty},
-		"B6": {Kinds: KText},
-	} {
-		if got := inf.At(cell.MustParseAddr(a1)); got != want {
-			t.Errorf("%s = %v, want %v", a1, got, want)
-		}
-	}
-}
-
-func TestArithmeticDivisionAndCoercion(t *testing.T) {
-	s := mkSheet(t, map[string]cell.Value{
-		"A1": cell.Num(10),
-		"A2": cell.Num(2),
-		"A3": cell.Str("SD"),
-	}, map[string]string{
-		"B1": "=A1+A2",   // pure numeric: no error possible
-		"B2": "=A1/A2",   // non-literal divisor: #DIV/0! possible
-		"B3": "=A1/2",    // nonzero literal divisor: no #DIV/0!
-		"B4": "=A1+A3",   // text operand: #VALUE! possible
-		"B5": "=A1&A3",   // concat: text, never errors
-		"B6": "=A1>A2",   // comparison: bool, never errors
-		"B7": "=-A1",     // unary numeric
-		"B8": "=A1/0",    // zero literal divisor: #DIV/0! stays possible
-		"B9": "=B2+1",    // error propagation through arithmetic
-		"C1": "=1/2+3*4", // literal arithmetic
-	})
-	inf := InferSheet(s)
-	for a1, want := range map[string]Abstract{
-		"B1": {Kinds: KNumber},
-		"B2": {Kinds: KNumber, Errs: EDiv0},
-		"B3": {Kinds: KNumber},
-		"B4": {Kinds: KNumber, Errs: EValue},
-		"B5": {Kinds: KText},
-		"B6": {Kinds: KBool},
-		"B7": {Kinds: KNumber},
-		"B8": {Kinds: KNumber, Errs: EDiv0},
-		"B9": {Kinds: KNumber, Errs: EDiv0},
-		"C1": {Kinds: KNumber},
-	} {
-		if got := inf.At(cell.MustParseAddr(a1)); got != want {
-			t.Errorf("%s = %v, want %v", a1, got, want)
-		}
-	}
-}
-
-func TestAggregateTransfers(t *testing.T) {
-	s := mkSheet(t, map[string]cell.Value{
-		"A1": cell.Num(1), "A2": cell.Num(2), "A3": cell.Num(3),
-		"B1": cell.Str("x"), "B2": cell.Num(4),
-	}, map[string]string{
-		"C1": "=SUM(A1:A3)",          // clean numeric column
-		"C2": "=AVERAGE(A1:A3)",      // AVERAGE always may divide by zero
-		"C3": "=COUNTIF(B1:B2,4)",    // COUNTIF never errors
-		"C4": "=SUM(D1:D3)",          // empty range: still just a number
-		"C5": "=SUM(E1:E3)",          // range over error cells
-		"C6": "=COUNTA(E1:E3)",       // COUNTA ignores errors
-		"C7": "=SUMIF(A1:A3,2)",      // well-formed SUMIF
-		"C8": `=SUMIF(A1,2)`,         // non-range test argument: #VALUE!
-		"C9": "=AVERAGEIF(A1:A3,99)", // no match: #DIV/0!
-	})
-	s.SetValue(cell.MustParseAddr("E1"), cell.Errorf(cell.ErrRef))
-	inf := InferSheet(s)
-	for a1, want := range map[string]Abstract{
-		"C1": {Kinds: KNumber},
-		"C2": {Kinds: KNumber, Errs: EDiv0},
-		"C3": {Kinds: KNumber},
-		"C4": {Kinds: KNumber},
-		"C5": {Kinds: KNumber, Errs: ERef},
-		"C6": {Kinds: KNumber},
-		"C7": {Kinds: KNumber},
-		"C8": {Kinds: KNumber, Errs: EValue},
-		"C9": {Kinds: KNumber, Errs: EDiv0},
-	} {
-		if got := inf.At(cell.MustParseAddr(a1)); got != want {
-			t.Errorf("%s = %v, want %v", a1, got, want)
-		}
-	}
-}
-
-func TestUnknownFunctionAndArity(t *testing.T) {
-	s := mkSheet(t, nil, map[string]string{
-		"A1": "=NOSUCHFN(1)",
-		"A2": "=ABS(1,2,3)", // too many arguments
-	})
-	inf := InferSheet(s)
-	if got := inf.At(cell.MustParseAddr("A1")); got != (Abstract{Errs: EName}) {
-		t.Errorf("unknown function = %v, want exactly #NAME?", got)
-	}
-	if got := inf.At(cell.MustParseAddr("A2")); got != (Abstract{Errs: EValue}) {
-		t.Errorf("arity violation = %v, want exactly #VALUE!", got)
-	}
-}
-
-func TestCyclePinning(t *testing.T) {
-	s := mkSheet(t, nil, map[string]string{
-		"A1": "=A2",
-		"A2": "=A1",
-		"A3": "=A1+1", // downstream of the cycle: also #CYCLE! in evalAll
-		"A4": "=1+1",  // independent
-	})
-	inf := InferSheet(s)
-	cyc := Abstract{Errs: ECycle}
-	for _, a1 := range []string{"A1", "A2", "A3"} {
-		if got := inf.At(cell.MustParseAddr(a1)); got != cyc {
-			t.Errorf("%s = %v, want exactly #CYCLE!", a1, got)
-		}
-	}
-	if got := inf.At(cell.MustParseAddr("A4")); got != (Abstract{Kinds: KNumber}) {
-		t.Errorf("A4 = %v, want number", got)
-	}
-	if len(inf.Cyclic()) != 3 {
-		t.Errorf("Cyclic() = %d cells, want 3", len(inf.Cyclic()))
-	}
-}
-
-func TestTopologicalPropagationThroughChain(t *testing.T) {
-	// D1 depends on C1 depends on B1 depends on a text cell: the #VALUE!
-	// possibility must flow the whole chain in one inference.
-	s := mkSheet(t, map[string]cell.Value{"A1": cell.Str("oops")}, map[string]string{
-		"B1": "=A1*2",
-		"C1": "=B1+1",
-		"D1": "=SUM(C1:C1)",
-	})
-	inf := InferSheet(s)
-	want := Abstract{Kinds: KNumber, Errs: EValue}
-	for _, a1 := range []string{"B1", "C1", "D1"} {
-		if got := inf.At(cell.MustParseAddr(a1)); got != want {
-			t.Errorf("%s = %v, want %v", a1, got, want)
-		}
-	}
-}
-
-func TestVolatileAndUnmodeledFunctions(t *testing.T) {
-	s := mkSheet(t, map[string]cell.Value{"A1": cell.Num(1)}, map[string]string{
-		"B1": "=NOW()",
-		"B2": "=RAND()",
-		"B3": "=VLOOKUP(1,A1:A3,1)", // unmodeled: conservative top
-	})
-	inf := InferSheet(s)
-	if got := inf.At(cell.MustParseAddr("B1")); got != (Abstract{Kinds: KNumber}) {
-		t.Errorf("NOW() = %v, want number", got)
-	}
-	if got := inf.At(cell.MustParseAddr("B2")); got != (Abstract{Kinds: KNumber}) {
-		t.Errorf("RAND() = %v, want number", got)
-	}
-	if got := inf.At(cell.MustParseAddr("B3")); got != Top {
-		t.Errorf("VLOOKUP = %v, want top", got)
-	}
-}
 
 func TestAdmitsMembership(t *testing.T) {
 	cases := []struct {
@@ -222,101 +25,6 @@ func TestAdmitsMembership(t *testing.T) {
 		if got := c.ab.Admits(c.v); got != c.want {
 			t.Errorf("(%v).Admits(%v) = %v, want %v", c.ab, c.v, got, c.want)
 		}
-	}
-}
-
-func TestNumericColumnCertificates(t *testing.T) {
-	s := sheet.New("cert", 4, 4)
-	// Col 0: header + numbers -> certified, value-only. Col 1: text data ->
-	// not certified. Col 2: numeric formulas -> kind-certified, but hosting
-	// formulas disqualifies it from the engine-facing value certificate
-	// (formula caches can change without a write the optimizer observes).
-	// Col 3: has an empty gap -> not certified.
-	s.SetValue(cell.Addr{Row: 0, Col: 0}, cell.Str("n"))
-	s.SetValue(cell.Addr{Row: 0, Col: 1}, cell.Str("t"))
-	s.SetValue(cell.Addr{Row: 0, Col: 2}, cell.Str("f"))
-	s.SetValue(cell.Addr{Row: 0, Col: 3}, cell.Str("e"))
-	for r := 1; r < 4; r++ {
-		s.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
-		s.SetValue(cell.Addr{Row: r, Col: 1}, cell.Str("x"))
-		s.SetFormula(cell.Addr{Row: r, Col: 2}, formula.MustCompile("=1+1"))
-	}
-	s.SetValue(cell.Addr{Row: 1, Col: 3}, cell.Num(5))
-	inf := InferSheet(s)
-	if got := inf.NumericColumns(); len(got) != 2 || got[0] != 0 || got[1] != 2 {
-		t.Errorf("NumericColumns = %v, want [0 2]", got)
-	}
-	if got := NumericDataColumns(s); len(got) != 1 || got[0] != 0 {
-		t.Errorf("NumericDataColumns = %v, want [0] (col 2 hosts formulas)", got)
-	}
-}
-
-func TestDisagreementDetection(t *testing.T) {
-	s := mkSheet(t, map[string]cell.Value{"A1": cell.Num(1)}, map[string]string{
-		"B1": "=A1+1",
-		"B2": "=A1*2",
-		"B3": "=A1-1",
-	})
-	// B1 carries a stale text cache (foreign save); B2 a consistent number;
-	// B3 was never evaluated (empty cache, must be skipped).
-	s.SetCachedValue(cell.MustParseAddr("B1"), cell.Str("stale"))
-	s.SetCachedValue(cell.MustParseAddr("B2"), cell.Num(2))
-	sr := SheetResultFor(s, Options{})
-	if sr.DisagreementCount != 1 {
-		t.Fatalf("DisagreementCount = %d, want 1", sr.DisagreementCount)
-	}
-	d := sr.Disagreements[0]
-	if d.Cell != "B1" || d.Stored != "text" {
-		t.Errorf("disagreement = %+v, want B1/text", d)
-	}
-}
-
-func TestReportWriters(t *testing.T) {
-	// Exact-height grid: the certificate spans every data row, so trailing
-	// empty rows (as in mkSheet's 12-row grid) would de-certify column A.
-	s := sheet.New("test", 3, 2)
-	s.SetValue(cell.MustParseAddr("A1"), cell.Str("n"))
-	s.SetValue(cell.MustParseAddr("A2"), cell.Num(1))
-	s.SetValue(cell.MustParseAddr("A3"), cell.Num(2))
-	s.SetFormula(cell.MustParseAddr("B2"), formula.MustCompile("=A2/A3"))
-	wb := sheet.NewWorkbook()
-	if err := wb.Add(s); err != nil {
-		t.Fatal(err)
-	}
-	res := Workbook(wb, Options{})
-	if res.Formulas != 1 || res.ErrorCells != 1 {
-		t.Fatalf("result = %d formulas, %d error cells; want 1, 1", res.Formulas, res.ErrorCells)
-	}
-	var txt bytes.Buffer
-	if err := res.WriteText(&txt); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"error-possible cells (1):", "B2", cell.ErrDiv0, "[numeric]"} {
-		if !strings.Contains(txt.String(), want) {
-			t.Errorf("text report missing %q:\n%s", want, txt.String())
-		}
-	}
-	var js bytes.Buffer
-	if err := res.WriteJSON(&js); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(js.String(), `"numeric_certificate": true`) {
-		t.Errorf("JSON report missing certificate:\n%s", js.String())
-	}
-}
-
-func TestMaxListCapsListingNotCounts(t *testing.T) {
-	formulas := make(map[string]string)
-	for r := 1; r <= 8; r++ {
-		formulas["B"+string(rune('0'+r))] = "=A1/A2"
-	}
-	s := mkSheet(t, map[string]cell.Value{"A1": cell.Num(1)}, formulas)
-	sr := SheetResultFor(s, Options{MaxList: 3})
-	if len(sr.ErrorCells) != 3 {
-		t.Errorf("listed = %d, want 3", len(sr.ErrorCells))
-	}
-	if sr.ErrorCellCount != 8 {
-		t.Errorf("counted = %d, want complete count 8", sr.ErrorCellCount)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/cell"
+	"repro/internal/quickseed"
 )
 
 func TestWeatherShape(t *testing.T) {
@@ -115,7 +116,7 @@ func TestWeatherPrefixProperty(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+	if err := quick.Check(f, quickseed.Config(t, 30)); err != nil {
 		t.Error(err)
 	}
 }

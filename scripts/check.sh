@@ -7,16 +7,19 @@
 # Usage: check.sh [stage]
 #   lint       formatting, vet, sheetlint, build — the fast static half
 #   race       the full test suite under the race detector, plus a stress
-#              loop over the staged parallel scheduler
+#              loop over the staged parallel scheduler and a repeat loop
+#              over the B+-tree suite (insert/remove invariants)
 #   bench      bench-smoke: one-iteration benchmark subset into
 #              BENCH_engine.json plus a tiny traced runner pass, both
 #              validated with cmd/obscheck
 #   interfere  parallel-safety surface: sheetcli interfere goldens plus the
 #              concurrency-readiness lints over the parallel packages
 #   absint     value-analysis surface: the abstract interpreter's soundness
-#              and certificate suites, the engine's certificate-consumption
-#              differential, the sheetcli absint goldens, and the
-#              latticecheck exhaustiveness lint over the domain packages
+#              and certificate suites, its kind/error projection cases,
+#              the engine's certificate-consumption differential, the
+#              sheetcli absint, typecheck and analyze goldens, the
+#              analyzer's absint-backed rules, and the latticecheck
+#              exhaustiveness lint over the domain packages
 #   plan       cost-based planner surface: the plan package suite, the
 #              engine's plan-consumption gates (prediction-within-2x,
 #              never-loses-to-fixed, rebuild discipline, certification),
@@ -79,6 +82,9 @@ if [ "$stage" = "race" ] || [ "$stage" = "all" ]; then
 
     echo "== staged-scheduler stress (-race, 5x) =="
     go test -race -count=5 -run Parallel ./internal/engine
+
+    echo "== B+-tree insert/remove invariants (200x) =="
+    go test -count=200 -run BTree ./internal/index
 fi
 
 if [ "$stage" = "interfere" ] || [ "$stage" = "all" ]; then
@@ -93,15 +99,15 @@ if [ "$stage" = "interfere" ] || [ "$stage" = "all" ]; then
 fi
 
 if [ "$stage" = "absint" ] || [ "$stage" = "all" ]; then
-    echo "== abstract-interpretation soundness + certificates =="
-    go test -count=1 ./internal/absint
+    echo "== abstract-interpretation soundness + certificates + kind/error projection =="
+    go test -count=1 ./internal/absint ./internal/typecheck
 
     echo "== engine certificate consumption (differential + meters) =="
-    go test -count=1 -run ValueCert ./internal/engine
+    go test -count=1 -run 'ValueCert|TypedColumns' ./internal/engine
 
-    echo "== sheetcli absint goldens + lookup-aware analyze cost model =="
-    go test ./cmd/sheetcli -run Absint
-    go test ./internal/analyze -run 'Lookup|EstEval'
+    echo "== sheetcli absint/typecheck/analyze goldens + absint-backed analyzer rules =="
+    go test ./cmd/sheetcli -run 'Absint|Typecheck|AnalyzeGolden'
+    go test ./internal/analyze -run 'Lookup|EstEval|ErrorBlast|Coercion'
 
     echo "== latticecheck exhaustiveness lint (domain packages) =="
     go run ./internal/lint/cmd/sheetlint -only latticecheck \
