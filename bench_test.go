@@ -747,6 +747,36 @@ func BenchmarkPlanSelection(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanRebuildAfterEdit measures the rebuild the planned profile
+// pays after a value edit: a warm plan cache keyed by column and formula-set
+// versions, one edit to a column the plan consults, and a rebuild that
+// recollects only that column's statistics (weather, 10k rows, with the
+// analysis block's COUNTIF and lookup sites).
+func BenchmarkPlanRebuildAfterEdit(b *testing.B) {
+	wb := workload.Weather(workload.Spec{Rows: benchRows, Formulas: true, Analysis: true})
+	s := wb.First()
+	colVer := make(map[int]int64)
+	opt := plan.Options{
+		Cache:          plan.NewCache(),
+		ColVersion:     func(_ string, col int) int64 { return colVer[col] },
+		FormulaVersion: func(string) int64 { return 0 },
+	}
+	stats := plan.Build(wb, opt).StatColumns()
+	if len(stats) == 0 {
+		b.Fatal("plan consults no column statistics")
+	}
+	col := stats[0].Col
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.SetValue(cell.Addr{Row: 1 + i%(benchRows-1), Col: col}, cell.Num(float64(i)))
+		colVer[col]++
+		if p := plan.Build(wb, opt); p.Derivation().StatsCollected != 1 {
+			b.Fatalf("rebuild derivation %+v, want one column recollected", p.Derivation())
+		}
+	}
+}
+
 // BenchmarkPlannerVsFixed is the plan-quality series: steady-state
 // recalculation under the planned profile against both fixed strategies
 // (always-index optimized, scan-only). The planned series must track the

@@ -98,39 +98,68 @@ func (inf *Inference) Certify() *SheetCert {
 	}
 	rows, cols := inf.s.Rows(), inf.s.Cols()
 	for col := 0; col < cols; col++ {
-		r0, r1 := -1, -1
-		hasFormula := false
-		for row := 0; row < rows; row++ {
-			a := cell.Addr{Row: row, Col: col}
-			_, isFormula := inf.byCell[a]
-			if !isFormula && inf.s.Value(a).IsEmpty() {
-				continue
-			}
-			if r0 < 0 {
-				r0 = row
-			}
-			r1 = row
-			hasFormula = hasFormula || isFormula
+		if cc, used := inf.columnCert(col, rows); used {
+			sc.Columns = append(sc.Columns, cc)
 		}
-		if r0 < 0 {
-			continue
-		}
-		cc := ColumnCert{Col: col, R0: r0, R1: r1, NumericFrom: r1 + 1, HasFormula: hasFormula}
-		j := inf.JoinSpan(col, r0, r1).norm()
-		cc.Ab, cc.Num = j.Ab, j.Num
-		cc.ErrorFree = j.Ab.Errs == 0
-		for row := r1; row >= r0; row-- {
-			v := inf.At(cell.Addr{Row: row, Col: col}).norm()
-			if v.Ab != (typecheck.Abstract{Kinds: typecheck.KNumber}) || v.Num.IsEmpty() {
-				break
-			}
-			cc.NumericFrom = row
-		}
-		cc.NumericOnly = cc.NumericFrom == r0
-		cc.Dir = inf.scanDir(col, cc.NumericFrom, r1)
-		sc.Columns = append(sc.Columns, cc)
 	}
 	return sc
+}
+
+// columnCert distills one column of the inference over rows [0, rows);
+// used is false when the column holds no value or formula.
+func (inf *Inference) columnCert(col, rows int) (cc ColumnCert, used bool) {
+	r0, r1 := -1, -1
+	hasFormula := false
+	for row := 0; row < rows; row++ {
+		a := cell.Addr{Row: row, Col: col}
+		_, isFormula := inf.byCell[a]
+		if !isFormula && inf.s.Value(a).IsEmpty() {
+			continue
+		}
+		if r0 < 0 {
+			r0 = row
+		}
+		r1 = row
+		hasFormula = hasFormula || isFormula
+	}
+	if r0 < 0 {
+		return ColumnCert{}, false
+	}
+	cc = ColumnCert{Col: col, R0: r0, R1: r1, NumericFrom: r1 + 1, HasFormula: hasFormula}
+	j := inf.JoinSpan(col, r0, r1).norm()
+	cc.Ab, cc.Num = j.Ab, j.Num
+	cc.ErrorFree = j.Ab.Errs == 0
+	for row := r1; row >= r0; row-- {
+		v := inf.At(cell.Addr{Row: row, Col: col}).norm()
+		if v.Ab != (typecheck.Abstract{Kinds: typecheck.KNumber}) || v.Num.IsEmpty() {
+			break
+		}
+		cc.NumericFrom = row
+	}
+	cc.NumericOnly = cc.NumericFrom == r0
+	cc.Dir = inf.scanDir(col, cc.NumericFrom, r1)
+	return cc, true
+}
+
+// ValueColumnCert returns the certificate InferSheet(s).Certify() issues
+// for a column that holds no formula cell, computed from the stored values
+// alone: ok is false when the column holds a formula (its abstract values
+// need the whole-sheet fixpoint), cc is nil when the column is unused. The
+// shortcut is exact because an inference abstracts every non-formula cell
+// as Exactly(s.Value(a)) and the certificate of a column reads only that
+// column's cells.
+func ValueColumnCert(s *sheet.Sheet, col int) (cc *ColumnCert, ok bool) {
+	rows := s.Rows()
+	for row := 0; row < rows; row++ {
+		if _, isFormula := s.Formula(cell.Addr{Row: row, Col: col}); isFormula {
+			return nil, false
+		}
+	}
+	c, used := (&Inference{s: s}).columnCert(col, rows)
+	if !used {
+		return nil, true
+	}
+	return &c, true
 }
 
 // scanDir certifies the sortedness of a certainly-numeric run by interval

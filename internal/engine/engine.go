@@ -68,17 +68,12 @@ type Engine struct {
 // New returns an engine with an empty workbook under the given profile.
 func New(prof Profile) *Engine {
 	e := &Engine{
-		prof:    prof,
-		wb:      sheet.NewWorkbook(),
-		graphs:  make(map[*sheet.Sheet]*graph.Graph),
-		chains:  make(map[*sheet.Sheet]*chainCache),
-		opts:    make(map[*sheet.Sheet]*optState),
-		regions: make(map[*sheet.Sheet]*regionChain),
-		certs:   make(map[*sheet.Sheet]*certEntry),
-		vcerts:  make(map[*sheet.Sheet]*valueCertEntry),
-		nowFn:   time.Now,
-		met:     newEngineMetrics(prof.Name),
+		prof:  prof,
+		wb:    sheet.NewWorkbook(),
+		nowFn: time.Now,
+		met:   newEngineMetrics(prof.Name),
 	}
+	e.resetDerived()
 	if prof.Web {
 		e.net = netsim.New(prof.Net)
 	}
@@ -108,14 +103,10 @@ func (e *Engine) graph(s *sheet.Sheet) *graph.Graph {
 	return g
 }
 
-// Install adopts a prepared workbook without metering (experiment setup,
-// not a benchmarked operation): formulas are registered in the dependency
-// graphs and evaluated so the sheet starts consistent, and optimization
-// structures are built for optimized profiles.
-func (e *Engine) Install(wb *sheet.Workbook) error {
-	sp := obs.StartRoot("engine.install").Str("profile", e.prof.Name)
-	defer sp.End()
-	e.wb = wb
+// resetDerived drops every per-workbook derived structure — graphs, calc
+// chains, optimization state, region chains, certificates, and the plan
+// with its cache — when a new workbook replaces the current one.
+func (e *Engine) resetDerived() {
 	e.graphs = make(map[*sheet.Sheet]*graph.Graph)
 	e.chains = make(map[*sheet.Sheet]*chainCache)
 	e.opts = make(map[*sheet.Sheet]*optState)
@@ -124,6 +115,17 @@ func (e *Engine) Install(wb *sheet.Workbook) error {
 	e.vcerts = make(map[*sheet.Sheet]*valueCertEntry)
 	e.planEntry = nil
 	e.planCache = nil
+}
+
+// Install adopts a prepared workbook without metering (experiment setup,
+// not a benchmarked operation): formulas are registered in the dependency
+// graphs and evaluated so the sheet starts consistent, and optimization
+// structures are built for optimized profiles.
+func (e *Engine) Install(wb *sheet.Workbook) error {
+	sp := obs.StartRoot("engine.install").Str("profile", e.prof.Name)
+	defer sp.End()
+	e.wb = wb
+	e.resetDerived()
 	for _, s := range wb.Sheets() {
 		g := e.graph(s)
 		gsp := obs.Start("install.graph")

@@ -1,6 +1,9 @@
 package engine
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/plan"
+)
 
 // engineMetrics holds the engine's per-profile metric handles, registered in
 // obs.Default under the profile name as label so BCT/OOT runs comparing
@@ -28,6 +31,11 @@ type engineMetrics struct {
 	// planBuilds counts cost-based plan derivations (internal/plan); the
 	// once-per-operation rebuild guard keeps this near the operation count.
 	planBuilds *obs.Counter
+	// planReuse counts, per plan build and sheet, whether each cached plan
+	// input was reused ("hit") or derived ("build"): the site inventory,
+	// the recalc facts, and the column statistics (counted per column).
+	// Indexed [part][event], labeled "<profile>/<part>/<event>".
+	planReuse [3][2]*obs.Counter
 	// opLatency holds one log-bucketed latency histogram per operation kind,
 	// recording the simulated nanoseconds of every finished operation —
 	// the percentile-SLO substrate, labeled "<profile>/<kind>". Registration
@@ -54,5 +62,24 @@ func newEngineMetrics(label string) engineMetrics {
 	for k := OpKind(0); k < numOpKinds; k++ {
 		m.opLatency[k] = obs.Default.Latency("engine_op_latency", label+"/"+k.String())
 	}
+	for i, part := range [...]string{"sites", "recalc", "stats"} {
+		for j, ev := range [...]string{"hit", "build"} {
+			m.planReuse[i][j] = obs.Default.Counter("engine_plan_reuse", label+"/"+part+"/"+ev)
+		}
+	}
 	return m
+}
+
+// notePlanReuse records one plan build's reuse counts.
+func (m *engineMetrics) notePlanReuse(d plan.Derivation) {
+	counts := [3][2]int{
+		{d.SitesReused, d.SitesBuilt},
+		{d.RecalcReused, d.RecalcBuilt},
+		{d.StatsReused, d.StatsCollected},
+	}
+	for i, byEvent := range counts {
+		for j, n := range byEvent {
+			m.planReuse[i][j].Add(int64(n))
+		}
+	}
 }

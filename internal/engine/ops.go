@@ -8,7 +8,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/costmodel"
 	"repro/internal/formula"
-	"repro/internal/graph"
 	"repro/internal/iolib"
 	"repro/internal/obs"
 	"repro/internal/sheet"
@@ -37,9 +36,7 @@ func (e *Engine) Open(path string) (Result, error) {
 	}
 	psp.Int("bytes", res.Bytes).Int("cells", res.Cells).End()
 	e.wb = res.Workbook
-	e.graphs = make(map[*sheet.Sheet]*graph.Graph)
-	e.opts = make(map[*sheet.Sheet]*optState)
-	e.regions = make(map[*sheet.Sheet]*regionChain)
+	e.resetDerived()
 
 	lazyValueOnly := (e.prof.Web && e.prof.LazyViewport || e.prof.Opt.LazyOpen) &&
 		res.Formulas == 0

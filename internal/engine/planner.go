@@ -13,23 +13,34 @@ import (
 // engine's optimizer does off the metered path), keyed by the versions
 // they were derived under, and refreshed once they go stale.
 //
-// Two guards bound the refresh cost:
+// Two guards bound how often a plan is rebuilt:
 //
-//   - Validity is keyed on per-sheet GRAPH versions plus the versions of
-//     exactly the columns whose statistics the plan consulted — NOT the raw
-//     optState version, which bumps on every cached write a recalculation
-//     makes and would force O(n) rebuilds per pass.
+//   - Validity is keyed on the workbook's sheet list, per-sheet GRAPH
+//     versions and dimensions, and the versions of exactly the columns whose statistics
+//     the plan consulted — NOT the raw optState version, which bumps on
+//     every cached write a recalculation makes and would force O(n)
+//     rebuilds per pass.
 //   - A plan is rebuilt at most once per engine operation (opSeq): the
 //     first consult after an edit re-plans against fresh statistics, and
 //     every later consult in the same operation reuses that plan even if
 //     the operation keeps mutating. A stale plan is safe — it is advisory
 //     for cost only; every fast path keeps its own soundness guard.
+//
+// A rebuild re-derives only what the triggering change invalidated. The
+// engine's plan.Cache persists across rebuilds and keys each derivation by
+// the same versions: column statistics and value-column certificates by
+// (column version, graph version), the site inventory and region facts by
+// graph version. A value edit therefore recollects the edited column's
+// statistics and re-prices the choices, while formula-set analyses wait
+// for a formula edit. The rebuilt plan equals a cold plan.Build.
 
 // planEntry is one derived plan plus the versions it was built under.
 type planEntry struct {
 	plan *plan.Plan
-	// graphVers invalidates on formula-set edits per sheet.
-	graphVers map[*sheet.Sheet]int64
+	// sheets holds the workbook's sheets in order with their graph
+	// versions and dimensions: a sheet added, removed or reordered, a
+	// formula-set edit, or a write that grows a sheet invalidates the plan.
+	sheets []sheetVersion
 	// statVers invalidates on changes to the columns whose statistics the
 	// plan consulted (colVer closed over the reorder epoch).
 	statVers []plan.StatColumn
@@ -41,10 +52,26 @@ type planEntry struct {
 	validatedAt int64
 }
 
+// sheetVersion is one sheet with its formula-set (graph) version and
+// dimensions, which the plan's statistics summary records.
+type sheetVersion struct {
+	s          *sheet.Sheet
+	ver        int64
+	rows, cols int
+}
+
+func (e *Engine) sheetVersion(s *sheet.Sheet) sheetVersion {
+	return sheetVersion{s: s, ver: e.graph(s).Version(), rows: s.Rows(), cols: s.Cols()}
+}
+
 // colVersion is the statistics invalidation key for one column: the
 // optState column version closed over the reorder epoch (a sort moves
 // values between rows without routing them through noteCellChange, so the
-// epoch is what retires a never-written column's statistics).
+// epoch is what retires a never-written column's statistics). A sheet
+// without optimization state (one a pivot added) tracks no column
+// versions, so its key is the negated operation number: statistics about
+// it are recollected, and plans resting on them rebuilt, once per
+// operation.
 func (e *Engine) colVersion(name string, col int) int64 {
 	s := e.wb.Sheet(name)
 	if s == nil {
@@ -52,9 +79,16 @@ func (e *Engine) colVersion(name string, col int) int64 {
 	}
 	st := e.opts[s]
 	if st == nil {
-		return 0
+		return -e.opSeq
 	}
 	return st.sortedEpoch<<32 | (st.colVer[col] & 0xffffffff)
+}
+
+// formulaVersion is the formula-set version of the named sheet: its
+// dependency graph's version, which every formula insert, removal, move
+// and rebuild bumps.
+func (e *Engine) formulaVersion(name string) int64 {
+	return e.graph(e.wb.Sheet(name)).Version()
 }
 
 // currentPlan returns a plan entry to consult, validating the cached one
@@ -78,8 +112,12 @@ func (e *Engine) currentPlan() *planEntry {
 
 // planEntryValid re-checks the versions a plan entry was derived under.
 func (e *Engine) planEntryValid(pe *planEntry) bool {
-	for s, v := range pe.graphVers {
-		if e.graph(s).Version() != v {
+	sheets := e.wb.Sheets()
+	if len(sheets) != len(pe.sheets) {
+		return false
+	}
+	for i, sv := range pe.sheets {
+		if e.sheetVersion(sheets[i]) != sv {
 			return false
 		}
 	}
@@ -91,9 +129,8 @@ func (e *Engine) planEntryValid(pe *planEntry) bool {
 	return true
 }
 
-// rebuildPlan derives a fresh plan from current statistics. The statistics
-// cache persists across rebuilds, so only columns whose version moved are
-// recollected.
+// rebuildPlan derives a fresh plan, reusing every cached derivation whose
+// versions still hold.
 func (e *Engine) rebuildPlan() *planEntry {
 	sp := obs.Start("engine.plan_build")
 	defer sp.End()
@@ -101,24 +138,61 @@ func (e *Engine) rebuildPlan() *planEntry {
 		e.planCache = plan.NewCache()
 	}
 	p := plan.Build(e.wb, plan.Options{
-		Coeff:      e.prof.Coeff,
-		Cache:      e.planCache,
-		ColVersion: e.colVersion,
+		Coeff:          e.prof.Coeff,
+		Cache:          e.planCache,
+		ColVersion:     e.colVersion,
+		FormulaVersion: e.formulaVersion,
 	})
 	pe := &planEntry{
 		plan:        p,
-		graphVers:   make(map[*sheet.Sheet]int64, e.wb.Len()),
+		sheets:      make([]sheetVersion, 0, e.wb.Len()),
 		statVers:    p.StatColumns(),
 		builtAt:     e.opSeq,
 		validatedAt: e.opSeq,
 	}
 	for _, s := range e.wb.Sheets() {
-		pe.graphVers[s] = e.graph(s).Version()
+		pe.sheets = append(pe.sheets, e.sheetVersion(s))
 	}
 	e.planEntry = pe
 	e.met.planBuilds.Add(1)
-	sp.Int("choices", int64(len(p.Choices())))
+	d := p.Derivation()
+	e.met.notePlanReuse(d)
+	sp.Int("choices", int64(len(p.Choices()))).
+		Str("sites", reuseAttr(d.SitesReused, d.SitesBuilt)).
+		Str("recalc", reuseAttr(d.RecalcReused, d.RecalcBuilt)).
+		Str("cert", string(d.Cert)).
+		Int("stats_collected", int64(d.StatsCollected))
 	return pe
+}
+
+// reuseAttr renders one reuse span attribute: "build" when any sheet
+// re-derived the part, "cache" when every sheet reused it, "none" when no
+// sheet needed it.
+func reuseAttr(reused, built int) string {
+	switch {
+	case built > 0:
+		return "build"
+	case reused > 0:
+		return "cache"
+	default:
+		return "none"
+	}
+}
+
+// SettledPlan returns the plan the next operation's first consult would
+// see: the cached plan re-validated against the current versions and
+// rebuilt when stale. Unlike Plan it ignores the once-per-operation
+// rebuild guard, so it never returns a plan the current operation's own
+// writes retired; plan-coherence checks compare it with a cold
+// plan.Build. Nil when the profile has no planner.
+func (e *Engine) SettledPlan() *plan.Plan {
+	if !e.prof.Opt.CostPlanner {
+		return nil
+	}
+	if pe := e.planEntry; pe != nil && e.planEntryValid(pe) {
+		return pe.plan
+	}
+	return e.rebuildPlan().plan
 }
 
 // plannedSheet returns the sheet's plan section, or nil when the profile

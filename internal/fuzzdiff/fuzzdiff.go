@@ -11,7 +11,14 @@
 // Sheets' full scans once an edit un-sorts a lookup table, exactly as the
 // real systems do. What must never differ is mechanism: "optimized" shares
 // Excel's semantics, so optimized ≡ excel cell-for-cell after every op (and
-// sheets ≡ calc), no matter what indexes or caches served the values.
+// sheets ≡ calc), no matter what indexes or caches served the values. The
+// planned profile (optimized driven by the cost-based planner) runs in the
+// same class, planned ≡ optimized ≡ excel.
+//
+// A standing plan-coherence invariant rides along: after every op, each
+// engine with a planner must hold the plan a cold plan.Build of its
+// workbook derives — the planner's incremental rebuilds may reuse work,
+// never go stale.
 //
 // On top of the cross-profile comparison the harness cross-checks the
 // static analyses on the baseline engine: type inference and the abstract
@@ -32,6 +39,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/graph"
 	"repro/internal/netsim"
+	"repro/internal/plan"
 	"repro/internal/regions"
 	"repro/internal/sheet"
 	"repro/internal/tracelang"
@@ -74,7 +82,7 @@ func (c Config) profiles() []string {
 type Failure struct {
 	OpIndex int // 0-based index of the op after which the divergence appeared; -1 = post-install
 	Op      tracelang.Op
-	Kind    string // "config", "install", "state", "error", "absint", "stagecert"
+	Kind    string // "config", "install", "state", "error", "plan", "absint", "stagecert"
 	Detail  string
 	Ops     []tracelang.Op // the executed ops through OpIndex
 }
@@ -138,6 +146,11 @@ func Run(cfg Config, ops []tracelang.Op) *Failure {
 	if d := divergedAny(); d != "" {
 		return &Failure{OpIndex: -1, Kind: "state", Detail: "post-install: " + d}
 	}
+	for _, p := range profs {
+		if d := planIncoherent(execs[p].Eng); d != "" {
+			return &Failure{OpIndex: -1, Kind: "plan", Detail: "post-install: " + p + ": " + d}
+		}
+	}
 	for i, op := range ops {
 		errs := make(map[string]error, len(profs))
 		quota := false
@@ -168,6 +181,11 @@ func Run(cfg Config, ops []tracelang.Op) *Failure {
 		}
 		if d := divergedAny(); d != "" {
 			return fail("state", d)
+		}
+		for _, p := range profs {
+			if d := planIncoherent(execs[p].Eng); d != "" {
+				return fail("plan", p+": "+d)
+			}
 		}
 		if cfg.Checks {
 			base := execs[Baseline]
@@ -221,6 +239,21 @@ func diverged(execs map[string]*tracelang.Exec, profs []string) string {
 				}
 			}
 		}
+	}
+	return ""
+}
+
+// planIncoherent compares a planner-driven engine's settled plan with a
+// cold plan.Build of its workbook; "" when they agree or the profile has
+// no planner.
+func planIncoherent(eng *engine.Engine) string {
+	got := eng.SettledPlan()
+	if got == nil {
+		return ""
+	}
+	want := plan.Build(eng.Workbook(), plan.Options{Coeff: eng.Profile().Coeff})
+	if d := plan.Diff(got, want); d != "" {
+		return "engine plan differs from a cold build: " + d
 	}
 	return ""
 }

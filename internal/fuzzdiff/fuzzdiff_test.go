@@ -33,6 +33,69 @@ func TestDifferential(t *testing.T) {
 	}
 }
 
+// TestPlannedLockstep runs the planner-driven profile explicitly beside the
+// two profiles sharing its lookup semantics, on every workload: states
+// must agree after every op and, through the standing invariant, the
+// planned engine's plan must equal a cold build after every op.
+func TestPlannedLockstep(t *testing.T) {
+	for _, wl := range workload.Names() {
+		wl := wl
+		t.Run(wl, func(t *testing.T) {
+			t.Parallel()
+			cfg := Config{Workload: wl, Rows: 24, Seed: 0x9A7, Profiles: []string{"excel", "optimized", "planned"}, Checks: true}
+			ops := Generate(cfg, 40)
+			if f := Run(cfg, ops); f != nil {
+				t.Fatalf("%v\nrepro script:\n%s", f, f.Script())
+			}
+		})
+	}
+}
+
+// TestPlannedComparedWithExcel proves planned sits in excel's semantics
+// class: a cached value corrupted on the planned engine alone is caught as
+// a state divergence.
+func TestPlannedComparedWithExcel(t *testing.T) {
+	cfg := Config{
+		Workload: "ledger",
+		Rows:     16,
+		Seed:     5,
+		Profiles: []string{"excel", "planned"},
+		AfterOp: func(profile string, _ *engine.Engine, s *sheet.Sheet, _ tracelang.Op) {
+			if profile != "planned" {
+				return
+			}
+			s.EachFormula(func(a cell.Addr, _ sheet.Formula) bool {
+				s.SetCachedValue(a, cell.Num(-12345))
+				return false
+			})
+		},
+	}
+	if f := Run(cfg, Generate(cfg, 10)); f == nil || f.Kind != "state" {
+		t.Fatalf("corrupted planned engine: failure %+v, want a state divergence", f)
+	}
+}
+
+// TestPlanIncoherenceCaught proves the plan-coherence invariant bites: a
+// write behind every engine's back (same value everywhere, so states still
+// agree) changes the statistics of the column the ledger's lookups probe
+// without moving any version key, and the planned engine's stale plan
+// must be reported.
+func TestPlanIncoherenceCaught(t *testing.T) {
+	cfg := Config{
+		Workload: "ledger",
+		Rows:     16,
+		Seed:     5,
+		Profiles: []string{"excel", "planned"},
+		AfterOp: func(_ string, eng *engine.Engine, _ *sheet.Sheet, _ tracelang.Op) {
+			eng.Workbook().Sheet("accounts").SetValue(cell.Addr{Row: 2, Col: 0}, cell.Num(5))
+		},
+	}
+	ops := []tracelang.Op{tracelang.RecalcOp{}}
+	if f := Run(cfg, ops); f == nil || f.Kind != "plan" {
+		t.Fatalf("stale plan: failure %+v, want a plan incoherence", f)
+	}
+}
+
 // TestGenerateDeterministic: same (workload, seed, n) must yield the same
 // sequence — the property that makes every failure replayable.
 func TestGenerateDeterministic(t *testing.T) {

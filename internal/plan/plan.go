@@ -25,7 +25,7 @@
 package plan
 
 import (
-	"fmt"
+	"strconv"
 	"time"
 
 	"repro/internal/costmodel"
@@ -77,6 +77,20 @@ type SiteKey struct {
 
 // Span returns the number of key cells the site searches.
 func (k SiteKey) Span() int64 { return int64(k.R1 - k.R0 + 1) }
+
+// less orders site keys by column, span and approximate-before-exact.
+func (k SiteKey) less(o SiteKey) bool {
+	if k.Col != o.Col {
+		return k.Col < o.Col
+	}
+	if k.R0 != o.R0 {
+		return k.R0 < o.R0
+	}
+	if k.R1 != o.R1 {
+		return k.R1 < o.R1
+	}
+	return !k.Exact && o.Exact
+}
 
 // Candidate is one priced strategy for a choice. Work is the per-evaluation
 // work-unit cost with any one-time build amortized over the site's
@@ -307,6 +321,44 @@ type Plan struct {
 	Certificate *Certificate `json:"certificate,omitempty"`
 
 	statCols []StatColumn
+	derived  Derivation
+}
+
+// CertSource names where a build's sortedness certificates came from.
+type CertSource string
+
+// Certificate sources, in increasing cost.
+const (
+	CertNone  CertSource = "none"  // no sortedness question was asked
+	CertValue CertSource = "value" // formula-free columns, from stored values
+	CertInfer CertSource = "infer" // a key column held a formula: whole-sheet fixpoint
+)
+
+// note raises the source to src when src is the costlier one.
+func (c *CertSource) note(src CertSource) {
+	if *c == "" || *c == CertNone || src == CertInfer {
+		*c = src
+	}
+}
+
+// Derivation records how a build obtained its inputs: how many sheets'
+// formula-derived analyses (site inventory, recalc facts) were reused from
+// the Cache or built, how many column statistics were reused or
+// (re)collected, and the costliest certificate source consulted.
+type Derivation struct {
+	SitesReused, SitesBuilt     int
+	RecalcReused, RecalcBuilt   int
+	StatsReused, StatsCollected int
+	Cert                        CertSource
+}
+
+// Derivation reports how the plan's inputs were derived.
+func (p *Plan) Derivation() Derivation {
+	d := p.derived
+	if d.Cert == "" {
+		d.Cert = CertNone
+	}
+	return d
 }
 
 // SheetPlan returns the named sheet's plan section, or nil.
@@ -350,16 +402,38 @@ func (p *Plan) PredictedRecalc(main string) costmodel.Meter {
 }
 
 // addMeter accumulates src into dst metric by metric.
-func addMeter(dst *costmodel.Meter, src costmodel.Meter) {
+func addMeter(dst *costmodel.Meter, src costmodel.Meter) { addMeterTimes(dst, src, 1) }
+
+// addMeterTimes accumulates n copies of src into dst (exact: meters count
+// in int64).
+func addMeterTimes(dst *costmodel.Meter, src costmodel.Meter, n int64) {
+	if n == 0 {
+		return
+	}
 	for i := costmodel.Metric(0); int(i) < costmodel.NumMetrics; i++ {
-		dst.Add(i, src.Count(i))
+		dst.Add(i, n*src.Count(i))
 	}
 }
 
 // siteID renders a choice's site for explanations: "sheet!col[r0:r1]".
 func siteID(sheet string, k SiteKey) string {
-	return fmt.Sprintf("%s!c%d[%d:%d]", sheet, k.Col, k.R0+1, k.R1+1)
+	return newBasis(sheet).num("!c", int64(k.Col)).num("[", int64(k.R0+1)).num(":", int64(k.R1+1)).String() + "]"
 }
+
+// basis assembles a choice's explanation: a label followed by
+// "key=value" fields. It formats with strconv, not fmt: fmt takes its
+// printers from a per-P sync.Pool, which made a plan build's allocation
+// count vary with goroutine scheduling by more than the bench gate's 1%
+// allocation slack.
+type basis []byte
+
+func newBasis(label string) basis { return append(make(basis, 0, 96), label...) }
+
+func (b basis) num(key string, v int64) basis { return strconv.AppendInt(append(b, key...), v, 10) }
+
+func (b basis) flag(key string, v bool) basis { return strconv.AppendBool(append(b, key...), v) }
+
+func (b basis) String() string { return string(b) }
 
 // sortInts insertion-sorts the (short) eager-column list ascending.
 func sortInts(v []int) {

@@ -248,8 +248,8 @@ func TestStatsDistinctEstimate(t *testing.T) {
 		low.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r%10)))
 		high.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
 	}
-	cl := newCollector(low, nil, nil, 0)
-	ch := newCollector(high, nil, nil, 0)
+	cl := newCollector(low, nil, 0, newSheetCache(low), 0)
+	ch := newCollector(high, nil, 0, newSheetCache(high), 0)
 	if d := cl.Column(0).Distinct; d < 5 || d > 20 {
 		t.Fatalf("low-cardinality distinct estimate = %d, want ~10", d)
 	}

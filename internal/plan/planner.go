@@ -1,7 +1,6 @@
 package plan
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/costmodel"
@@ -23,6 +22,11 @@ type Options struct {
 	// statistics the way the engine keys its sortedness certificates. Nil
 	// means version 0 everywhere (immutable one-shot analysis).
 	ColVersion func(sheetName string, col int) int64
+	// FormulaVersion supplies a sheet's formula-set version (the engine's
+	// dependency-graph version). While it holds, the Cache serves the
+	// sheet's site inventory and recalc facts instead of re-deriving them.
+	// Nil disables that reuse (one-shot analysis).
+	FormulaVersion func(sheetName string) int64
 }
 
 // DefaultCoefficients is the planning coefficient set used when Options
@@ -53,7 +57,9 @@ type lookupSite struct {
 
 // Build derives a plan for the workbook: statistics for every column an
 // operation site consults, priced candidates per site, and the chosen
-// strategies with their predicted steady-state recalculation work.
+// strategies with their predicted steady-state recalculation work. With a
+// Cache, only what the versions say changed is re-derived; the plan is the
+// same as a cold build's either way.
 func Build(wb *sheet.Workbook, opt Options) *Plan {
 	if opt.Coeff == (costmodel.Coefficients{}) {
 		opt.Coeff = DefaultCoefficients()
@@ -61,12 +67,14 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 	pr := pricer{coeff: opt.Coeff}
 
 	type sheetCtx struct {
-		s    *sheet.Sheet
-		set  *siteSet
-		coll *Collector
-		sp   *SheetPlan
+		s      *sheet.Sheet
+		set    *siteSet
+		recalc *recalcFacts
+		coll   *Collector
+		sp     *SheetPlan
 	}
 	var ctxs []*sheetCtx
+	p := &Plan{}
 	// Globally merged lookup sites, keyed by the sheet whose column they
 	// probe (where the engine consults the plan).
 	sites := make(map[string]map[SiteKey]*lookupSite)
@@ -77,18 +85,44 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 			name := s.Name
 			ver = func(col int) int64 { return opt.ColVersion(name, col) }
 		}
-		var sc *sheetCache
+		var fver int64
+		if opt.FormulaVersion != nil {
+			fver = opt.FormulaVersion(s.Name)
+		}
+		sc := newSheetCache(s)
 		if opt.Cache != nil {
-			sc = opt.Cache.sheet(s.Name)
+			sc = opt.Cache.sheet(s)
+		}
+		// Formula-derived analyses are reused only under a formula-set
+		// version; otherwise they are derived afresh for this build.
+		reuse := opt.Cache != nil && opt.FormulaVersion != nil
+		if !reuse || sc.fver != fver {
+			sc.fver, sc.sites, sc.recalc = fver, nil, nil
+		}
+		if sc.sites == nil {
+			sc.sites = collectSites(s)
+			p.derived.SitesBuilt++
+		} else {
+			p.derived.SitesReused++
 		}
 		ctx := &sheetCtx{
 			s:    s,
-			set:  collectSites(s),
-			coll: newCollector(s, ver, sc, opt.SampleCap),
+			set:  sc.sites,
+			coll: newCollector(s, ver, fver, sc, opt.SampleCap),
+		}
+		if s.FormulaCount() > 0 {
+			if sc.recalc == nil {
+				sc.recalc = inferRecalc(s)
+				p.derived.RecalcBuilt++
+			} else {
+				p.derived.RecalcReused++
+			}
+			ctx.recalc = sc.recalc
 		}
 		ctxs = append(ctxs, ctx)
-		for target, bySite := range ctx.set.lookups {
-			local := target == ""
+		for _, uc := range ctx.set.uses {
+			use := uc.use
+			target, local := use.target, use.target == ""
 			if local {
 				target = s.Name
 			}
@@ -97,22 +131,20 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 				reg = make(map[SiteKey]*lookupSite)
 				sites[target] = reg
 			}
-			for key, agg := range bySite {
-				site, ok := reg[key]
-				if !ok {
-					site = &lookupSite{key: key, fn: agg.fn, mode: agg.mode, allLocal: true}
-					reg[key] = site
-				}
-				site.count += agg.count
-				site.allLocal = site.allLocal && local
+			site, ok := reg[use.key]
+			if !ok {
+				site = &lookupSite{key: use.key, fn: use.fn, mode: use.mode, allLocal: true}
+				reg[use.key] = site
 			}
+			site.fn, site.mode = firstFnMode(site.fn, site.mode, use.fn, use.mode)
+			site.count += int(uc.n)
+			site.allLocal = site.allLocal && local
 		}
 	}
 
-	p := &Plan{}
 	plans := make(map[string]*SheetPlan)
 	for _, ctx := range ctxs {
-		ctx.sp = buildSheetPlan(ctx.s, ctx.set, ctx.coll, sites[ctx.s.Name], pr)
+		ctx.sp = buildSheetPlan(ctx.s, ctx.set, ctx.recalc, ctx.coll, sites[ctx.s.Name], pr)
 		p.Sheets = append(p.Sheets, ctx.sp)
 		plans[ctx.s.Name] = ctx.sp
 	}
@@ -137,12 +169,15 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 			ctx.sp.Stats.Columns = append(ctx.sp.Stats.Columns, *cs)
 			p.statCols = append(p.statCols, StatColumn{Sheet: ctx.s.Name, Col: col, Version: cs.Version})
 		}
+		p.derived.StatsCollected += ctx.coll.collected
+		p.derived.StatsReused += len(cols) - ctx.coll.collected
+		p.derived.Cert.note(ctx.coll.certSrc)
 	}
 	return p
 }
 
 // buildSheetPlan makes every choice that executes against one sheet.
-func buildSheetPlan(s *sheet.Sheet, set *siteSet, coll *Collector, lookups map[SiteKey]*lookupSite, pr pricer) *SheetPlan {
+func buildSheetPlan(s *sheet.Sheet, set *siteSet, recalc *recalcFacts, coll *Collector, lookups map[SiteKey]*lookupSite, pr pricer) *SheetPlan {
 	sp := &SheetPlan{
 		Sheet: s.Name,
 		Stats: SheetSummary{
@@ -161,19 +196,7 @@ func buildSheetPlan(s *sheet.Sheet, set *siteSet, coll *Collector, lookups map[S
 	for key := range lookups {
 		keys = append(keys, key)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.Col != b.Col {
-			return a.Col < b.Col
-		}
-		if a.R0 != b.R0 {
-			return a.R0 < b.R0
-		}
-		if a.R1 != b.R1 {
-			return a.R1 < b.R1
-		}
-		return !a.Exact && b.Exact
-	})
+	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	for _, key := range keys {
 		c := planLookup(sp.Sheet, lookups[key], coll, pr)
 		sp.lookups[key] = c
@@ -196,10 +219,10 @@ func buildSheetPlan(s *sheet.Sheet, set *siteSet, coll *Collector, lookups map[S
 		}
 	}
 
-	if s.FormulaCount() > 0 {
-		c, regionCount := planRecalc(s, pr)
+	if recalc != nil {
+		c := planRecalc(s.Name, int64(s.FormulaCount()), recalc, pr)
 		sp.recalc = c
-		sp.Stats.Regions = regionCount
+		sp.Stats.Regions = recalc.regions
 		sp.Choices = append(sp.Choices, c)
 	}
 	if c, loads := planMaintenance(sp.Sheet, set, pr); c != nil {
@@ -254,8 +277,8 @@ func planLookup(sheetName string, site *lookupSite, coll *Collector, pr pricer) 
 	c := choose(KindLookup, sheetName, site.fn, cands, pr)
 	c.Site = site.key
 	c.Count = site.count
-	c.Basis = fmt.Sprintf("%s n=%d uses=%d distinct≈%d sorted=%v static=%v",
-		siteID(sheetName, site.key), n, site.count, cs.Distinct, sorted, static)
+	c.Basis = newBasis(siteID(sheetName, site.key)).num(" n=", n).num(" uses=", count).
+		num(" distinct≈", int64(cs.Distinct)).flag(" sorted=", sorted).flag(" static=", static).String()
 	switch c.Chosen {
 	case BinarySearch:
 		probes := ceilLog2(n) + 1
@@ -300,8 +323,8 @@ func planCountIf(sheetName string, col int, agg *colSiteAgg, coll *Collector, pr
 	c := choose(KindCountIf, sheetName, agg.fn, cands, pr)
 	c.Site = SiteKey{Col: col, R0: agg.r0, R1: agg.r1, Exact: agg.equality}
 	c.Count = agg.count
-	c.Basis = fmt.Sprintf("%s n=%d uses=%d distinct≈%d equality=%v",
-		siteID(sheetName, c.Site), n, agg.count, cs.Distinct, agg.equality)
+	c.Basis = newBasis(siteID(sheetName, c.Site)).num(" n=", n).num(" uses=", count).
+		num(" distinct≈", int64(cs.Distinct)).flag(" equality=", agg.equality).String()
 	switch c.Chosen {
 	case HashProbe:
 		c.serveWork = mk(mProbe, cs.ExpectedMatches(n), mEval, 1)
@@ -328,7 +351,7 @@ func planAggregate(sheetName string, col int, agg *colSiteAgg, pr pricer) *Choic
 	c := choose(KindAggregate, sheetName, agg.fn, cands, pr)
 	c.Site = SiteKey{Col: col, R0: agg.r0, R1: agg.r1}
 	c.Count = agg.count
-	c.Basis = fmt.Sprintf("%s n=%d uses=%d", siteID(sheetName, c.Site), n, agg.count)
+	c.Basis = newBasis(siteID(sheetName, c.Site)).num(" n=", n).num(" uses=", count).String()
 	if c.Chosen == PrefixSum {
 		c.serveWork = mk(mProbe, 2, mEval, 1)
 		c.buildWork = mk(mTouch, n)
@@ -352,33 +375,44 @@ func planBuild(sheetName string, col int, agg *colSiteAgg, pr pricer) *Choice {
 	c := choose(KindIndexBuild, sheetName, agg.fn, cands, pr)
 	c.Site = SiteKey{Col: col, R0: agg.r0, R1: agg.r1}
 	c.Count = agg.count
-	c.Basis = fmt.Sprintf("%s n=%d uses=%d", siteID(sheetName, c.Site), n, agg.count)
+	c.Basis = newBasis(siteID(sheetName, c.Site)).num(" n=", n).num(" uses=", count).String()
 	return c
 }
 
-// planRecalc prices region-level vs per-cell recalculation sequencing for
-// one sheet, running the real region inference (planning is uncharged
-// static analysis, so the measured op counts are free to consult).
-func planRecalc(s *sheet.Sheet, pr pricer) (*Choice, int) {
-	f := int64(s.FormulaCount())
+// recalcFacts are the region-inference results the recalc choice rests
+// on. They depend on the formula set alone (region inference reads no
+// values), so a Cache keeps them across value edits.
+type recalcFacts struct {
+	regions  int
+	inferOps int64
+	ok       bool
+}
+
+// inferRecalc runs the real region inference (planning is uncharged static
+// analysis, so the measured op counts are free to consult).
+func inferRecalc(s *sheet.Sheet) *recalcFacts {
 	sr := regions.Infer(s)
 	g := regions.Build(sr)
-	inferOps := sr.Ops() + g.Ops()
+	return &recalcFacts{regions: len(sr.Regions), inferOps: sr.Ops() + g.Ops(), ok: g.OK()}
+}
 
+// planRecalc prices region-level vs per-cell recalculation sequencing for
+// one sheet of f formulas.
+func planRecalc(sheetName string, f int64, rf *recalcFacts, pr pricer) *Choice {
 	cands := []Candidate{{Strategy: PerCell, Work: perCellSequenceWork(f), Feasible: true}}
 	rc := Candidate{Strategy: RegionChain}
-	if g.OK() {
+	if rf.ok {
 		rc.Feasible = true
-		rc.Work = regionSequenceWork(inferOps, f)
+		rc.Work = regionSequenceWork(rf.inferOps, f)
 	} else {
 		rc.Note = "region graph not orderable (irregular dependencies)"
 	}
 	cands = append(cands, rc)
 
-	c := choose(KindRecalc, s.Name, "", cands, pr)
+	c := choose(KindRecalc, sheetName, "", cands, pr)
 	c.Count = int(f)
-	c.Basis = fmt.Sprintf("%s formulas=%d regions=%d inferOps=%d ok=%v",
-		s.Name, f, len(sr.Regions), inferOps, g.OK())
+	c.Basis = newBasis(sheetName).num(" formulas=", f).num(" regions=", int64(rf.regions)).
+		num(" inferOps=", rf.inferOps).flag(" ok=", rf.ok).String()
 	if cand, ok := c.chosenCandidate(); ok {
 		c.serveWork = cand.Work
 		if c.Chosen == RegionChain {
@@ -386,10 +420,10 @@ func planRecalc(s *sheet.Sheet, pr pricer) (*Choice, int) {
 			// region cache is stale (incremental maintenance usually keeps it
 			// warm across formula edits).
 			c.serveWork = mk(mDepOp, f)
-			c.buildWork = mk(mDepOp, inferOps)
+			c.buildWork = mk(mDepOp, rf.inferOps)
 		}
 	}
-	return c, len(sr.Regions)
+	return c
 }
 
 // planMaintenance prices delta vs recompute maintenance of materialized
@@ -435,8 +469,8 @@ func planMaintenance(sheetName string, set *siteSet, pr pricer) (*Choice, map[in
 	c := choose(KindMaint, sheetName, "", cands, pr)
 	c.Site = SiteKey{Col: worstCol}
 	c.Count = int(worst.aggs)
-	c.Basis = fmt.Sprintf("%s worst col=%d aggregates=%d covered cells=%d",
-		sheetName, worstCol, worst.aggs, worst.cells)
+	c.Basis = newBasis(sheetName).num(" worst col=", int64(worstCol)).num(" aggregates=", worst.aggs).
+		num(" covered cells=", worst.cells).String()
 	perCol := make(map[int]int64, len(loads))
 	for col, l := range loads {
 		perCol[col] = l.aggs
@@ -469,44 +503,31 @@ func choose(kind, sheetName, fn string, cands []Candidate, pr pricer) *Choice {
 }
 
 // predictSheet computes the sheet's Predicted and PredictedExt meters: one
-// evaluation of every hosted formula under the chosen strategies. COUNTIF
-// and aggregate sites are charged as scans here — the engine's index and
-// prefix services answer formula *insertion*, while full recalculation
-// always re-scans (the plan's countif/aggregate choices are priced against
-// insert-time work in the bench matrix instead).
+// evaluation of every hosted formula under the chosen strategies — the
+// site set's lookup-free base plus, per lookup shape, its call count times
+// the chosen strategy's work (a scan where no choice covers the site).
+// COUNTIF and aggregate sites are charged as scans in the base — the
+// engine's index and prefix services answer formula *insertion*, while
+// full recalculation always re-scans (the plan's countif/aggregate choices
+// are priced against insert-time work in the bench matrix instead).
 func predictSheet(sp *SheetPlan, hostName string, set *siteSet, plans map[string]*SheetPlan) {
-	var pm, ext costmodel.Meter
-	for _, fi := range set.formulas {
-		var fm costmodel.Meter
-		fm.Add(costmodel.FormulaEval, 1)
-		fm.Add(costmodel.CellTouch, fi.refCells+fi.plainLocalCells+fi.extPlainCells)
-		for _, use := range fi.lookups {
-			target := use.target
-			if target == "" {
-				target = hostName
-			}
-			work := scanLookupWork(use.fn, use.mode, use.key.Span())
-			if tp := plans[target]; tp != nil {
-				if c, ok := tp.lookups[use.key]; ok {
-					if cand, ok := c.chosenCandidate(); ok {
-						work = cand.Work
-					}
+	pm, ext := set.base, set.extBase
+	for _, uc := range set.uses {
+		use := uc.use
+		target := use.target
+		if target == "" {
+			target = hostName
+		}
+		work := scanLookupWork(use.fn, use.mode, use.key.Span())
+		if tp := plans[target]; tp != nil {
+			if c, ok := tp.lookups[use.key]; ok {
+				if cand, ok := c.chosenCandidate(); ok {
+					work = cand.Work
 				}
 			}
-			addMeter(&fm, work)
 		}
-		for _, cu := range fi.colUses {
-			span := int64(cu.r1 - cu.r0 + 1)
-			if cu.kind == KindCountIf {
-				addMeter(&fm, scanCountWork(span))
-			} else {
-				addMeter(&fm, scanAggWork(span))
-			}
-		}
-		addMeter(&pm, fm)
-		if fi.external {
-			addMeter(&ext, fm)
-		}
+		addMeterTimes(&pm, work, uc.n)
+		addMeterTimes(&ext, work, uc.ext)
 	}
 	sp.Predicted = pm
 	sp.PredictedExt = ext

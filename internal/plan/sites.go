@@ -1,7 +1,10 @@
 package plan
 
 import (
+	"sort"
+
 	"repro/internal/cell"
+	"repro/internal/costmodel"
 	"repro/internal/formula"
 	"repro/internal/sheet"
 )
@@ -13,63 +16,39 @@ import (
 // anchored fill columns (the common workload shape) collapse to one site
 // with a high instance count, and the amortization math is exact.
 
-// lookupUse is one lookup call inside one formula: the site it probes plus
-// what the formula charges if the site scans (the linear-cost baseline the
-// chosen strategy replaces in the prediction).
+// lookupUse is the shape of one lookup call: the site it probes, and the
+// function and match mode that price it when the site scans (the
+// linear-cost baseline the chosen strategy replaces in the prediction).
 type lookupUse struct {
-	key        SiteKey
-	target     string // sheet holding the key column ("" = host sheet)
-	fn         string // VLOOKUP or MATCH
-	mode       int    // 0 exact, 1 approx ascending, -1 descending
-	tableCells int64  // full cardinality of the table/range argument
-	local      bool
+	key    SiteKey
+	target string // sheet holding the key column ("" = host sheet)
+	fn     string // VLOOKUP or MATCH
+	mode   int    // 0 exact, 1 approx ascending, -1 descending
 }
 
-// colUse is one classified local COUNTIF/aggregate range consumption
-// inside one formula.
-type colUse struct {
-	kind string // KindCountIf or KindAggregate
-	fn   string
-	col  int
-	r0   int
-	r1   int
-}
-
-// formulaInfo is one formula cell's planning-relevant summary.
-type formulaInfo struct {
-	at       cell.Addr
-	code     *formula.Compiled
-	external bool
-	lookups  []lookupUse
-	colUses  []colUse
-	// refCells is the number of single-cell precedents (one touch each).
-	refCells int64
-	// plainLocalCells is the cardinality of local ranges not consumed by a
-	// classified site — scanned under every strategy.
-	plainLocalCells int64
-	// extPlainCells is the cardinality of cross-sheet ranges not consumed
-	// by a classified lookup — charged as full scans.
-	extPlainCells int64
+// useCount is how many lookup calls of one shape (target, site, fn, mode)
+// the sheet's formulas make: n in all of them, ext in cross-sheet ones.
+type useCount struct {
+	use    lookupUse
+	n, ext int64
 }
 
 // siteSet accumulates the distinct sites of one sheet's formula
-// population.
+// population. It depends on the formula set alone, so a Cache keeps it
+// across value edits; it is O(sites), never O(formulas).
 type siteSet struct {
-	// lookups maps (target sheet, site key) -> aggregate use.
-	lookups map[string]map[SiteKey]*lookupSiteAgg
 	// countIf maps column -> aggregate use (local COUNTIF with a literal
 	// criterion — the shape the engine's index path serves).
 	countIf map[int]*colSiteAgg
 	// aggs maps column -> SUM/COUNT/AVERAGE use (local single-column).
 	aggs map[int]*colSiteAgg
-	// formulas carries every formula's summary for the predictor.
-	formulas []formulaInfo
-}
-
-type lookupSiteAgg struct {
-	fn    string
-	mode  int
-	count int
+	// base is the work of evaluating every formula once apart from its
+	// lookup calls (whose cost depends on the chosen strategies); extBase
+	// is the share of cross-sheet formulas. uses counts the lookup calls,
+	// in sorted key order: Build merges them into lookup sites, and the
+	// predictor adds count × the chosen work.
+	base, extBase costmodel.Meter
+	uses          []useCount
 }
 
 type colSiteAgg struct {
@@ -86,18 +65,20 @@ type colSiteAgg struct {
 // collectSites walks the sheet's formulas once.
 func collectSites(s *sheet.Sheet) *siteSet {
 	set := &siteSet{
-		lookups: make(map[string]map[SiteKey]*lookupSiteAgg),
 		countIf: make(map[int]*colSiteAgg),
 		aggs:    make(map[int]*colSiteAgg),
 	}
+	uses := make(map[lookupUse]*useCount)
 	s.EachFormula(func(at cell.Addr, fc sheet.Formula) bool {
 		dr, dc := fc.DeltaAt(at)
-		fi := formulaInfo{
-			at:       at,
-			code:     fc.Code,
-			external: fc.Code.External,
-			refCells: int64(len(fc.Code.Refs)),
-		}
+		external := fc.Code.External
+		// fm is the formula's lookup-free work: one evaluation, one touch
+		// per single-cell precedent, and a scan of every range not served
+		// by a classified lookup site (COUNTIF and aggregate sites are
+		// charged as scans, see predictSheet).
+		var fm costmodel.Meter
+		fm.Add(costmodel.FormulaEval, 1)
+		fm.Add(costmodel.CellTouch, int64(len(fc.Code.Refs)))
 		extTables := make(map[formula.ExtRefNode]bool)
 		localTables := make(map[formula.RangeNode]bool)
 		formula.Walk(fc.Code.Root, func(n formula.Node) {
@@ -116,8 +97,15 @@ func collectSites(s *sheet.Sheet) *siteSet {
 				} else if rn, isLocal := call.Args[1].(formula.RangeNode); isLocal {
 					localTables[rn] = true
 				}
-				fi.lookups = append(fi.lookups, use)
-				set.noteLookup(use)
+				uc, ok := uses[use]
+				if !ok {
+					uc = &useCount{use: use}
+					uses[use] = uc
+				}
+				uc.n++
+				if external {
+					uc.ext++
+				}
 			case "COUNTIF":
 				col, r0, r1, ok := localColumnArg(call, 0, 2, dr, dc)
 				if !ok {
@@ -128,7 +116,7 @@ func collectSites(s *sheet.Sheet) *siteSet {
 					return
 				}
 				localTables[call.Args[0].(formula.RangeNode)] = true
-				fi.colUses = append(fi.colUses, colUse{kind: KindCountIf, fn: call.Name, col: col, r0: r0, r1: r1})
+				addMeter(&fm, scanCountWork(int64(r1-r0+1)))
 				set.noteCol(set.countIf, call.Name, col, r0, r1, isEqualityCriterion(lit))
 			case "SUM", "COUNT", "AVERAGE":
 				col, r0, r1, ok := localColumnArg(call, 0, 1, dr, dc)
@@ -136,7 +124,7 @@ func collectSites(s *sheet.Sheet) *siteSet {
 					return
 				}
 				localTables[call.Args[0].(formula.RangeNode)] = true
-				fi.colUses = append(fi.colUses, colUse{kind: KindAggregate, fn: call.Name, col: col, r0: r0, r1: r1})
+				addMeter(&fm, scanAggWork(int64(r1-r0+1)))
 				set.noteCol(set.aggs, call.Name, col, r0, r1, true)
 			}
 		})
@@ -146,37 +134,45 @@ func collectSites(s *sheet.Sheet) *siteSet {
 			switch t := n.(type) {
 			case formula.RangeNode:
 				if !localTables[t] {
-					fi.plainLocalCells += int64(shiftRange(t, dr, dc).Cells())
+					fm.Add(costmodel.CellTouch, int64(shiftRange(t, dr, dc).Cells()))
 				}
 			case formula.ExtRefNode:
 				if extTables[t] {
 					return
 				}
 				if !t.IsRange {
-					fi.extPlainCells++
+					fm.Add(costmodel.CellTouch, 1)
 					return
 				}
-				fi.extPlainCells += int64(t.Range().Cells())
+				fm.Add(costmodel.CellTouch, int64(t.Range().Cells()))
 			}
 		})
-		set.formulas = append(set.formulas, fi)
+		addMeter(&set.base, fm)
+		if external {
+			addMeter(&set.extBase, fm)
+		}
 		return true
 	})
+	set.uses = make([]useCount, 0, len(uses))
+	for _, uc := range uses {
+		set.uses = append(set.uses, *uc)
+	}
+	sort.Slice(set.uses, func(i, j int) bool { return set.uses[i].use.less(set.uses[j].use) })
 	return set
 }
 
-func (set *siteSet) noteLookup(use lookupUse) {
-	bySite, ok := set.lookups[use.target]
-	if !ok {
-		bySite = make(map[SiteKey]*lookupSiteAgg)
-		set.lookups[use.target] = bySite
+// less orders lookup uses by target sheet, site key, function and mode.
+func (u lookupUse) less(o lookupUse) bool {
+	if u.target != o.target {
+		return u.target < o.target
 	}
-	agg, ok := bySite[use.key]
-	if !ok {
-		agg = &lookupSiteAgg{fn: use.fn, mode: use.mode}
-		bySite[use.key] = agg
+	if u.key != o.key {
+		return u.key.less(o.key)
 	}
-	agg.count++
+	if u.fn != o.fn {
+		return u.fn < o.fn
+	}
+	return u.mode < o.mode
 }
 
 func (set *siteSet) noteCol(m map[int]*colSiteAgg, fn string, col, r0, r1 int, equality bool) {
@@ -184,6 +180,9 @@ func (set *siteSet) noteCol(m map[int]*colSiteAgg, fn string, col, r0, r1 int, e
 	if !ok {
 		agg = &colSiteAgg{fn: fn, r0: r0, r1: r1, equality: equality}
 		m[col] = agg
+	}
+	if fn < agg.fn {
+		agg.fn = fn
 	}
 	agg.count++
 	if r0 < agg.r0 {
@@ -195,6 +194,17 @@ func (set *siteSet) noteCol(m map[int]*colSiteAgg, fn string, col, r0, r1 int, e
 	if !equality {
 		agg.equality = false
 	}
+}
+
+// firstFnMode merges the function and match mode of two uses sharing one
+// site: the alphabetically first function, then the lower mode. Formulas
+// are visited in no particular order, so the merge must not depend on it;
+// a plan labels and prices a mixed site the same way on every build.
+func firstFnMode(fn string, mode int, fn2 string, mode2 int) (string, int) {
+	if fn2 < fn || (fn2 == fn && mode2 < mode) {
+		return fn2, mode2
+	}
+	return fn, mode
 }
 
 // classifyLookup extracts a MATCH/VLOOKUP call's site: the key column and
@@ -220,7 +230,6 @@ func classifyLookup(call formula.CallNode, dr, dc int) (lookupUse, formula.ExtRe
 	switch t := call.Args[1].(type) {
 	case formula.RangeNode:
 		r = shiftRange(t, dr, dc)
-		use.local = true
 	case formula.ExtRefNode:
 		if !t.IsRange {
 			return use, en, false
@@ -236,7 +245,6 @@ func classifyLookup(call formula.CallNode, dr, dc int) (lookupUse, formula.ExtRe
 	}
 	use.fn = call.Name
 	use.mode = mode
-	use.tableCells = int64(r.Cells())
 	use.key = SiteKey{Col: r.Start.Col, R0: r.Start.Row, R1: r.End.Row, Exact: mode == 0}
 	return use, en, true
 }

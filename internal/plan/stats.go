@@ -54,16 +54,23 @@ const sampleCap = 256
 
 // Collector derives and caches per-column statistics for one sheet.
 // Collection is lazy — only columns a planning decision actually consults
-// are scanned — and cached across plan builds through an optional Cache,
-// invalidated per column by version.
+// are scanned — and cached across plan builds through the sheet's cache
+// entry, invalidated per column by version.
 type Collector struct {
-	s      *sheet.Sheet
-	ver    func(col int) int64
-	cache  *sheetCache
-	cap    int
-	cert   *absint.SheetCert
-	cols   map[int]*ColumnStats
-	sorted map[[3]int]sortedFact
+	s     *sheet.Sheet
+	ver   func(col int) int64
+	fver  int64
+	cache *sheetCache
+	cap   int
+	// inferred is the whole-sheet certificate, derived on first need: only
+	// sortedness questions about a column holding a formula require it.
+	inferred *absint.SheetCert
+	cols     map[int]*ColumnStats
+	sorted   map[[3]int]sortedFact
+	// collected and certSrc record how this build obtained its inputs
+	// (Derivation).
+	collected int
+	certSrc   CertSource
 }
 
 type sortedFact struct {
@@ -71,16 +78,18 @@ type sortedFact struct {
 	static bool // proven by the static certificate, no rescan needed
 }
 
-// newCollector builds a collector; ver may be nil (statistics then carry
-// version 0 and cache entries never invalidate — correct for one-shot
-// static analysis over an immutable sheet).
-func newCollector(s *sheet.Sheet, ver func(col int) int64, cache *sheetCache, capHint int) *Collector {
+// newCollector builds a collector over the sheet's cache entry. ver may be
+// nil (statistics then carry version 0 and cache entries never invalidate
+// — correct for one-shot static analysis over an immutable sheet); fver is
+// the sheet's formula-set version, the second half of every column key.
+func newCollector(s *sheet.Sheet, ver func(col int) int64, fver int64, cache *sheetCache, capHint int) *Collector {
 	if capHint <= 0 {
 		capHint = sampleCap
 	}
 	return &Collector{
 		s:      s,
 		ver:    ver,
+		fver:   fver,
 		cache:  cache,
 		cap:    capHint,
 		cols:   make(map[int]*ColumnStats),
@@ -95,11 +104,25 @@ func (c *Collector) version(col int) int64 {
 	return c.ver(col)
 }
 
-func (c *Collector) certFor() *absint.SheetCert {
-	if c.cert == nil {
-		c.cert = absint.InferSheet(c.s).Certify()
+// columnCert returns the column's abstract-interpretation certificate
+// (nil for an unused column). A formula-free column is certified from its
+// stored values alone and cached by version; only a column holding a
+// formula pays the whole-sheet fixpoint, memoized for this build.
+func (c *Collector) columnCert(col int) *absint.ColumnCert {
+	ent := c.cache.column(col, c.version(col), c.fver)
+	if !ent.certDone {
+		ent.cert, ent.certOK = absint.ValueColumnCert(c.s, col)
+		ent.certDone = true
 	}
-	return c.cert
+	if ent.certOK {
+		c.certSrc.note(CertValue)
+		return ent.cert
+	}
+	c.certSrc.note(CertInfer)
+	if c.inferred == nil {
+		c.inferred = absint.InferSheet(c.s).Certify()
+	}
+	return c.inferred.Column(col)
 }
 
 // Column returns the column's statistics, collecting on first use and
@@ -109,18 +132,13 @@ func (c *Collector) Column(col int) *ColumnStats {
 		return cs
 	}
 	v := c.version(col)
-	if c.cache != nil {
-		if cs, ok := c.cache.get(col, v); ok {
-			c.cols[col] = cs
-			return cs
-		}
+	ent := c.cache.column(col, v, c.fver)
+	if ent.stats == nil {
+		ent.stats = c.collect(col, v)
+		c.collected++
 	}
-	cs := c.collect(col, v)
-	c.cols[col] = cs
-	if c.cache != nil {
-		c.cache.put(col, cs)
-	}
-	return cs
+	c.cols[col] = ent.stats
+	return ent.stats
 }
 
 // collect scans the column once for exact kind counts and stride-samples
@@ -205,7 +223,7 @@ func (c *Collector) SortedAsc(col, r0, r1 int) (ok, static bool) {
 		return f.ok, f.static
 	}
 	f := sortedFact{}
-	if cc := c.certFor().Column(col); cc != nil && cc.CoversAsc(r0, r1) {
+	if cc := c.columnCert(col); cc != nil && cc.CoversAsc(r0, r1) {
 		f = sortedFact{ok: true, static: true}
 	} else {
 		f.ok = absint.SortedAscRun(c.s, col, r0, r1)
@@ -214,43 +232,75 @@ func (c *Collector) SortedAsc(col, r0, r1 int) (ok, static bool) {
 	return f.ok, f.static
 }
 
-// NumericRun reports whether rows [r0, r1] are certified all-numeric
-// (header-exclusive spans of typed data columns).
-func (c *Collector) NumericRun(col, r0, r1 int) bool {
-	cc := c.certFor().Column(col)
-	return cc != nil && cc.NumericFrom <= r0 && cc.R1 >= r1 && r0 <= r1
-}
-
-// Cache carries column statistics across plan builds. Entries are keyed
-// (sheet name, column) and validated by column version, mirroring the
-// engine's valuecert lifecycle: a stale version is never consulted, it is
-// silently recollected.
+// Cache carries per-sheet derived state across plan builds, each entry
+// keyed by the versions it was derived under, so a stale one is never
+// consulted — it is silently rederived:
+//
+//   - column statistics and value-column certificates, keyed by
+//     (column version, formula-set version, sheet row count);
+//   - the formula-derived analyses (site inventory and recalc facts),
+//     keyed by formula-set version, and kept only when the caller supplies
+//     Options.FormulaVersion.
+//
+// Entries are keyed by sheet name and belong to one sheet object: a
+// different sheet under the same name starts from an empty entry.
 type Cache struct {
 	sheets map[string]*sheetCache
 }
 
 type sheetCache struct {
-	cols map[int]*ColumnStats
+	s *sheet.Sheet
+	// rows is the row count the column entries were derived at; a sheet
+	// that grew or shrank recollects them all.
+	rows int
+	cols map[int]*colEntry
+	// fver is the formula-set version sites and recalc were derived under;
+	// nil fields are not derived yet.
+	fver   int64
+	sites  *siteSet
+	recalc *recalcFacts
 }
 
-// NewCache returns an empty statistics cache.
+// colEntry is one column's cached derivations under one version pair.
+type colEntry struct {
+	ver, fver int64
+	stats     *ColumnStats
+	// cert is the value-column certificate (nil: column unused), valid when
+	// certDone; certOK is false when the column holds a formula.
+	cert     *absint.ColumnCert
+	certOK   bool
+	certDone bool
+}
+
+// NewCache returns an empty plan cache.
 func NewCache() *Cache { return &Cache{sheets: make(map[string]*sheetCache)} }
 
-func (c *Cache) sheet(name string) *sheetCache {
-	sc, ok := c.sheets[name]
-	if !ok {
-		sc = &sheetCache{cols: make(map[int]*ColumnStats)}
-		c.sheets[name] = sc
+func newSheetCache(s *sheet.Sheet) *sheetCache {
+	return &sheetCache{s: s, rows: s.Rows(), cols: make(map[int]*colEntry)}
+}
+
+// sheet returns the sheet's cache entry, replacing one left by a different
+// sheet object of the same name.
+func (c *Cache) sheet(s *sheet.Sheet) *sheetCache {
+	sc, ok := c.sheets[s.Name]
+	if !ok || sc.s != s {
+		sc = newSheetCache(s)
+		c.sheets[s.Name] = sc
+	}
+	if sc.rows != s.Rows() {
+		sc.rows = s.Rows()
+		sc.cols = make(map[int]*colEntry)
 	}
 	return sc
 }
 
-func (sc *sheetCache) get(col int, ver int64) (*ColumnStats, bool) {
-	cs, ok := sc.cols[col]
-	if !ok || cs.Version != ver {
-		return nil, false
+// column returns the column's entry for the version pair, resetting it
+// when either version moved.
+func (sc *sheetCache) column(col int, ver, fver int64) *colEntry {
+	ent, ok := sc.cols[col]
+	if !ok || ent.ver != ver || ent.fver != fver {
+		ent = &colEntry{ver: ver, fver: fver}
+		sc.cols[col] = ent
 	}
-	return cs, true
+	return ent
 }
-
-func (sc *sheetCache) put(col int, cs *ColumnStats) { sc.cols[col] = cs }
