@@ -4,8 +4,9 @@
 //
 //	benchdiff -baseline BENCH_baseline.json -candidate BENCH_engine.json
 //
-// Exit status: 0 when no benchmark regressed, 1 on regressions, 2 on
-// usage or I/O errors. Timing regressions are judged on min-of-N ns/op
+// Exit status: 0 when no benchmark regressed, 1 on regressions or when a
+// baseline benchmark is missing from the candidate (a renamed or unrun
+// benchmark would otherwise pass unjudged), 2 on usage or I/O errors. Timing regressions are judged on min-of-N ns/op
 // against a relative threshold above a noise floor; allocation counts are
 // matched exactly up to -allocs-slack (they are deterministic up to
 // map-growth timing, so any increase beyond a hair is real).
@@ -59,6 +60,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	if diff.HasRegressions() {
+		return 1
+	}
+	if n := len(diff.Missing); n > 0 {
+		fmt.Fprintf(stderr, "benchdiff: %d baseline benchmark(s) missing from the candidate, first %s\n", n, diff.Missing[0].Name)
 		return 1
 	}
 	return 0

@@ -78,6 +78,24 @@ func TestBenchdiffDeterministicOutput(t *testing.T) {
 	}
 }
 
+// TestBenchdiffMissingRowExitsOne: a baseline row absent from the
+// candidate fails the gate, so a candidate whose names do not match the
+// baseline (a -N GOMAXPROCS suffix, a renamed benchmark) cannot pass with
+// nothing compared.
+func TestBenchdiffMissingRowExitsOne(t *testing.T) {
+	dir := t.TempDir()
+	base := writeBench(t, dir, "base.json", []obs.BenchResult{result("BenchmarkRecalc/weather", 100000, 42)})
+	cand := writeBench(t, dir, "cand.json", []obs.BenchResult{result("BenchmarkRecalc/weather-2", 100000, 42)})
+	var out, errb bytes.Buffer
+	code := run([]string{"-baseline", base, "-candidate", cand}, &out, &errb)
+	if code != 1 {
+		t.Fatalf("exit %d with the baseline row missing from the candidate, want 1; stdout:\n%s", code, out.String())
+	}
+	if !strings.Contains(errb.String(), "BenchmarkRecalc/weather") {
+		t.Fatalf("stderr should name the missing benchmark: %s", errb.String())
+	}
+}
+
 func TestBenchdiffMissingFileExitsTwo(t *testing.T) {
 	var out, errb bytes.Buffer
 	code := run([]string{"-baseline", "/nonexistent/base.json", "-candidate", "/nonexistent/cand.json"}, &out, &errb)

@@ -103,7 +103,7 @@ func (e *Engine) driftNoteLookup(s *sheet.Sheet, st *optState, meter *costmodel.
 	switch strat {
 	case plan.BinarySearch:
 		gate = gateLookupBinary
-		if !st.sortedFresh(col, r0, r1) {
+		if _, hit := st.sortedCached(col, r0, r1); !hit {
 			addWork(&pred, build)
 		}
 	case plan.HashProbe:
@@ -168,12 +168,15 @@ func (e *Engine) driftCountIfBegin(s *sheet.Sheet, st *optState, col int, equali
 // driftMaintBegin starts a delta-maintenance observation for one edit: the
 // per-column prediction from the plan's maintenance loads, measured across
 // noteCellChange (index maintenance plus the materialized-aggregate
-// deltas).
+// deltas). It runs before the edit lands, so it reads the current plan
+// entry without validating it: validation would pin the pre-edit plan for
+// the whole operation and defer the edit's own rebuild. No entry yet means
+// no observation.
 func (e *Engine) driftMaintBegin(s *sheet.Sheet, col int) (bool, costmodel.Meter, costmodel.Meter) {
-	if !e.driftOn() || !e.prof.Opt.IncrementalAggregates {
+	if !e.driftOn() || !e.prof.Opt.IncrementalAggregates || e.planEntry == nil {
 		return false, costmodel.Meter{}, costmodel.Meter{}
 	}
-	sp := e.plannedSheet(s)
+	sp := e.planEntry.plan.SheetPlan(s.Name)
 	if sp == nil {
 		return false, costmodel.Meter{}, costmodel.Meter{}
 	}
@@ -182,20 +185,6 @@ func (e *Engine) driftMaintBegin(s *sheet.Sheet, col int) (bool, costmodel.Meter
 		return false, costmodel.Meter{}, costmodel.Meter{}
 	}
 	return true, pred, e.meter.Snapshot()
-}
-
-// sortedFresh reports whether the column's cached sortedness certificate
-// would answer [r0, r1] without a rescan — the mirror of sortedAsc's cache
-// acceptance, read-only.
-func (st *optState) sortedFresh(col, r0, r1 int) bool {
-	sc, ok := st.sorted[col]
-	if !ok || sc.ver != st.colVer[col] || sc.epoch != st.sortedEpoch {
-		return false
-	}
-	if sc.ok && r0 >= sc.r0 && r1 <= sc.r1 {
-		return true
-	}
-	return sc.r0 == r0 && sc.r1 == r1
 }
 
 // addWork accumulates src into dst metric by metric.

@@ -9,9 +9,11 @@ import (
 	"repro/internal/costmodel"
 	"repro/internal/formula"
 	"repro/internal/graph"
+	"repro/internal/interfere"
 	"repro/internal/netsim"
 	"repro/internal/obs"
 	"repro/internal/plan"
+	"repro/internal/regions"
 	"repro/internal/sheet"
 )
 
@@ -37,12 +39,9 @@ type Engine struct {
 	prof Profile
 	wb   *sheet.Workbook
 
-	graphs  map[*sheet.Sheet]*graph.Graph
-	chains  map[*sheet.Sheet]*chainCache
-	opts    map[*sheet.Sheet]*optState
-	regions map[*sheet.Sheet]*regionChain
-	certs   map[*sheet.Sheet]*certEntry
-	vcerts  map[*sheet.Sheet]*valueCertEntry
+	// sheets holds each sheet's derived state (sheetState); state is the
+	// one accessor.
+	sheets map[*sheet.Sheet]*sheetState
 
 	meter       costmodel.Meter // operation-attributed work
 	recalcMeter costmodel.Meter // unmultiplied recalculation work (pivot)
@@ -93,26 +92,61 @@ func (e *Engine) SetNow(now func() time.Time) { e.nowFn = now }
 // Meter exposes the engine's cumulative operation meter (read-only use).
 func (e *Engine) Meter() *costmodel.Meter { return &e.meter }
 
-// graph returns (creating if needed) the dependency graph for a sheet.
-func (e *Engine) graph(s *sheet.Sheet) *graph.Graph {
-	g, ok := e.graphs[s]
-	if !ok {
-		g = graph.New()
-		e.graphs[s] = g
-	}
-	return g
+// sheetState is everything the engine derives from one sheet. The
+// "Derived-state lifecycle" table in docs/ANALYSIS.md lists each artifact's
+// validity key, the events that invalidate it, and its builder.
+type sheetState struct {
+	g *graph.Graph
+	// opt is the optimization state of §6; nil on profiles without
+	// optimizations, and on a loaded sheet until buildOptState runs.
+	opt *optState
+	// ver is the graph version the formula-set artifacts below were
+	// derived at; current drops them once the graph moves past it.
+	ver    int64
+	chain  *chainCache
+	region *regions.Graph
+	pcert  *interfere.Cert
+	vcert  *valueCertEntry
 }
 
-// resetDerived drops every per-workbook derived structure — graphs, calc
-// chains, optimization state, region chains, certificates, and the plan
-// with its cache — when a new workbook replaces the current one.
+// current drops every formula-set artifact derived at an older graph
+// version — the one validity check for the calc chain, the region
+// inference, and the parallel and value certificates — and returns ss.
+func (ss *sheetState) current() *sheetState {
+	if v := ss.g.Version(); v != ss.ver {
+		ss.ver = v
+		ss.chain, ss.region, ss.pcert, ss.vcert = nil, nil, nil, nil
+	}
+	return ss
+}
+
+// state returns the sheet's derived state, creating it on first use. A
+// sheet first met after loading (a pivot's output) gets its optimization
+// state here; loaded sheets get theirs from buildOptState once evaluated.
+func (e *Engine) state(s *sheet.Sheet) *sheetState {
+	ss := e.sheets[s]
+	if ss == nil {
+		ss = &sheetState{g: graph.New()}
+		if e.prof.Opt.Any() {
+			ss.opt = newOptState()
+		}
+		e.sheets[s] = ss
+	}
+	return ss
+}
+
+// graph returns the sheet's dependency graph.
+func (e *Engine) graph(s *sheet.Sheet) *graph.Graph { return e.state(s).g }
+
+// resetDerived drops every derived structure — per-sheet state, the plan
+// and its cache — when a new workbook replaces the current one. The
+// workbook's sheets start without optimization state: they are evaluated
+// first, then buildOptState attaches it.
 func (e *Engine) resetDerived() {
-	e.graphs = make(map[*sheet.Sheet]*graph.Graph)
-	e.chains = make(map[*sheet.Sheet]*chainCache)
-	e.opts = make(map[*sheet.Sheet]*optState)
-	e.regions = make(map[*sheet.Sheet]*regionChain)
-	e.certs = make(map[*sheet.Sheet]*certEntry)
-	e.vcerts = make(map[*sheet.Sheet]*valueCertEntry)
+	e.sheets = make(map[*sheet.Sheet]*sheetState, e.wb.Len())
+	for _, s := range e.wb.Sheets() {
+		e.sheets[s] = &sheetState{g: graph.New()}
+	}
 	e.planEntry = nil
 	e.planCache = nil
 }
@@ -164,8 +198,8 @@ func (e *Engine) Install(wb *sheet.Workbook) error {
 	// Setup work is not part of any experiment: clear the meters.
 	e.meter.Reset()
 	e.recalcMeter.Reset()
-	for _, g := range e.graphs {
-		g.ResetOps()
+	for _, ss := range e.sheets {
+		ss.g.ResetOps()
 	}
 	return nil
 }
@@ -282,7 +316,7 @@ func (src evalSource) Value(a cell.Addr) cell.Value {
 // read-through recursion; recalc marks a calc pass (no read-through).
 func (e *Engine) env(s *sheet.Sheet, meter *costmodel.Meter, inner, recalc bool) *formula.Env {
 	var src formula.Source = evalSource{e: e, s: s, meter: meter, inner: inner, recalc: recalc}
-	if st := e.opts[s]; st != nil && e.prof.Lookup.Indexed {
+	if st := e.state(s).opt; st != nil && e.prof.Lookup.Indexed {
 		src = indexedSrc{Source: src, e: e, s: s, st: st, meter: meter}
 	}
 	var sortedAsc func(formula.Source, int, int, int) bool
@@ -374,7 +408,7 @@ func (e *Engine) refreshExternals(meter *costmodel.Meter) {
 				if v == old {
 					continue
 				}
-				if st := e.opts[s]; st != nil {
+				if st := e.state(s).opt; st != nil {
 					st.noteCellChange(e, s, a, old, v)
 				}
 				s.SetCachedValue(a, v)
@@ -406,17 +440,16 @@ func sortAddrs(addrs []cell.Addr) {
 // formula set changes [6], so repeated full recalculations (e.g. after a
 // worksheet insertion) pay evaluation cost only.
 type chainCache struct {
-	version int64
-	order   []cell.Addr
-	cyclic  []cell.Addr
+	order  []cell.Addr
+	cyclic []cell.Addr
 }
 
 // fullChain returns the sheet's calculation order, re-sequencing only when
 // the formula set changed since the cached order was built.
 func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cyclic []cell.Addr) {
 	sp := obs.Start("chain.sequence")
-	g := e.graph(s)
-	if c := e.chains[s]; c != nil && c.version == g.Version() {
+	ss := e.state(s).current()
+	if c := ss.chain; c != nil {
 		meter.Add(costmodel.DepOp, 1) // cache validity check
 		e.met.chainCacheHits.Add(1)
 		sp.Str("source", "cache").Int("cells", int64(len(c.order))).End()
@@ -433,8 +466,8 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 			if w, b, ok := sheetPlan.RecalcWork(); ok {
 				driftPred, driftRec = w, true
 				// Inference is paid only when the region cache is stale —
-				// mirror regionChainFor's cache acceptance.
-				if rc := e.regions[s]; rc == nil || rc.version != g.Version() {
+				// mirror regionsFor's cache acceptance.
+				if ss.region == nil {
 					addWork(&driftPred, b)
 				}
 				driftSnap = meter.Snapshot()
@@ -446,13 +479,13 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 	// comparison cost. Valid only while the regions order cleanly (and, under
 	// the planned profile, while the cost plan prefers it); the fallback
 	// below is authoritative for everything else (cycles included).
-	if e.plannedRegionChain(s) {
-		if rc := e.regionChainFor(s, meter); rc != nil && rc.g.OK() {
-			rc.g.ResetOps()
-			order = rc.g.Order()
-			meter.Add(costmodel.DepOp, rc.g.Ops())
-			rc.g.ResetOps()
-			e.chains[s] = &chainCache{version: g.Version(), order: order}
+	if e.plannedRegionChain(s) && e.prof.Opt.RegionGraph {
+		if rg := e.regionsFor(s, meter); rg.OK() {
+			rg.ResetOps()
+			order = rg.Order()
+			meter.Add(costmodel.DepOp, rg.Ops())
+			rg.ResetOps()
+			ss.chain = &chainCache{order: order}
 			if driftRec {
 				e.driftRecord(gateRecalcSeq, driftPred, meter.Sub(driftSnap))
 			}
@@ -460,11 +493,12 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 			return order, nil
 		}
 	}
+	g := ss.g
 	g.ResetOps()
 	order, cyclic = g.AllFormulas()
 	meter.Add(costmodel.DepOp, g.Ops())
 	g.ResetOps()
-	e.chains[s] = &chainCache{version: g.Version(), order: order, cyclic: cyclic}
+	ss.chain = &chainCache{order: order, cyclic: cyclic}
 	if driftRec {
 		e.driftRecord(gateRecalcSeq, driftPred, meter.Sub(driftSnap))
 	}
@@ -480,7 +514,7 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 // SetCachedValue would leave the inverted/hash/prefix structures serving
 // the stale result.
 func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) {
-	if st := e.opts[s]; st != nil {
+	if st := e.state(s).opt; st != nil {
 		if old := s.Value(a); old != v {
 			st.noteCellChange(e, s, a, old, v)
 		}
@@ -522,6 +556,21 @@ func (e *Engine) evalAll(s *sheet.Sheet, meter *costmodel.Meter) {
 	sp.Int("cells", int64(len(order)+len(cyclic))).End()
 }
 
+// rowsMoved is the one entry point for row and column moves (sort,
+// structural inserts and deletes). Row-keyed optimization structures are
+// stale the moment cells move, so they are dropped before any
+// recalculation consults them, and every formula is re-registered from its
+// new position, which retires the formula-set artifacts with the old graph
+// version.
+func (e *Engine) rowsMoved(s *sheet.Sheet) {
+	if st := e.state(s).opt; st != nil {
+		st.rebuildAfterReorder()
+	}
+	if s.FormulaCount() > 0 {
+		e.rebuildGraph(s, &e.meter)
+	}
+}
+
 // rebuildGraph re-registers every formula's precedents from its current
 // position — the calc-chain re-sequencing that follows structural changes.
 func (e *Engine) rebuildGraph(s *sheet.Sheet, meter *costmodel.Meter) {
@@ -547,12 +596,12 @@ func (e *Engine) rebuildGraph(s *sheet.Sheet, meter *costmodel.Meter) {
 func (e *Engine) resequence(s *sheet.Sheet, meter *costmodel.Meter) {
 	sp := obs.Start("engine.resequence")
 	defer sp.End()
-	g := e.graph(s)
-	g.ResetOps()
-	order, cyclic := g.AllFormulas()
-	meter.Add(costmodel.DepOp, g.Ops())
-	g.ResetOps()
-	e.chains[s] = &chainCache{version: g.Version(), order: order, cyclic: cyclic}
+	ss := e.state(s).current()
+	ss.g.ResetOps()
+	order, cyclic := ss.g.AllFormulas()
+	meter.Add(costmodel.DepOp, ss.g.Ops())
+	ss.g.ResetOps()
+	ss.chain = &chainCache{order: order, cyclic: cyclic}
 }
 
 // recalcDirty evaluates the transitive dependents of the changed cells in

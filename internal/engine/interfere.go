@@ -13,57 +13,30 @@ import (
 	"repro/internal/sheet"
 )
 
-// The parallel-safety certificate (internal/interfere) rides the same
-// version-keyed lifecycle as the region chain: issued against the per-cell
-// graph's version, refused the moment any formula-set edit bumps it, and
-// lazily re-derived on the next staged scheduling request. A stale schedule
-// — in particular one predating a SplitAt — can therefore never be
-// replayed.
-
-// certEntry pairs a certificate with the region inference and region graph
-// it was derived from.
-type certEntry struct {
-	version int64
-	sr      *regions.SheetRegions
-	g       *regions.Graph
-	cert    *interfere.Cert
-}
-
-// parallelCertFor returns the sheet's parallel-safety certificate, deriving
-// it when missing or stale. Unlike the region chain this is profile-
-// independent — staged scheduling is an engine extension available on every
-// profile — but when the RegionGraph optimization is active the chain's
-// inference is reused rather than repeated. The analysis itself is never
-// charged to the meter: like install-time optimization builds, a static
-// certification pass is not work the modeled system performs.
-func (e *Engine) parallelCertFor(s *sheet.Sheet, meter *costmodel.Meter) *certEntry {
-	g := e.graph(s)
-	if ce := e.certs[s]; ce != nil && ce.version == g.Version() {
-		return ce
+// parallelCertFor returns the sheet's parallel-safety certificate with the
+// region graph it stages, deriving the certificate when missing or stale
+// (a formula-set artifact: lifecycle in docs/ANALYSIS.md). Staged
+// scheduling is an engine extension available on every profile; the
+// certificate reads the sheet's shared region inference. The analysis
+// itself is never charged to the meter: like install-time optimization
+// builds, a static certification pass is not work the modeled system
+// performs.
+func (e *Engine) parallelCertFor(s *sheet.Sheet, meter *costmodel.Meter) (*interfere.Cert, *regions.Graph) {
+	ss := e.state(s).current()
+	if ss.pcert != nil {
+		return ss.pcert, ss.region
 	}
 	sp := obs.Start("interfere.analyze")
 	defer sp.End()
-	var sr *regions.SheetRegions
-	var rg *regions.Graph
-	if rc := e.regionChainFor(s, meter); rc != nil {
-		sr, rg = rc.sr, rc.g
-	} else {
-		saved := *meter
-		sr = regions.Infer(s)
-		rg = regions.Build(sr)
-		sr.ResetOps()
-		rg.ResetOps()
-		*meter = saved
-	}
-	cert := interfere.Analyze(sr)
+	rg := e.regionsFor(s, meter)
+	cert := interfere.Analyze(rg.Regions())
 	cert.ResetOps()
-	cert.Version = g.Version()
-	ce := &certEntry{version: g.Version(), sr: sr, g: rg, cert: cert}
-	e.certs[s] = ce
+	cert.Version = ss.g.Version()
+	ss.pcert = cert
 	sp.Int("regions", int64(cert.Regions)).
 		Int("stages", int64(cert.StageCount())).
 		Int("blockers", int64(len(cert.Blockers)))
-	return ce
+	return cert, rg
 }
 
 // ParallelCert returns the sheet's current parallel-safety certificate,
@@ -72,7 +45,8 @@ func (e *Engine) ParallelCert(s *sheet.Sheet) *interfere.Cert {
 	if s == nil {
 		return nil
 	}
-	return e.parallelCertFor(s, &e.meter).cert
+	cert, _ := e.parallelCertFor(s, &e.meter)
+	return cert
 }
 
 // RecalculateStaged is the certificate-checked scheduler shim: it
@@ -88,18 +62,18 @@ func (e *Engine) RecalculateStaged(s *sheet.Sheet) (Result, error) {
 	}
 	t := e.begin(OpSetCell)
 	_, cyclic := e.fullChain(s, &e.meter)
-	ce := e.parallelCertFor(s, &e.meter)
-	if !ce.cert.OK {
+	cert, rg := e.parallelCertFor(s, &e.meter)
+	if !cert.OK {
 		return Result{}, fmt.Errorf("engine: RecalculateStaged: sheet not certified (%d blockers, first: %s)",
-			len(ce.cert.Blockers), describeBlocker(ce.cert.Blockers))
+			len(cert.Blockers), describeBlocker(cert.Blockers))
 	}
-	if !ce.g.OK() {
+	if !rg.OK() {
 		return Result{}, fmt.Errorf("engine: RecalculateStaged: region graph not sequencable")
 	}
 	if len(cyclic) > 0 {
 		return Result{}, fmt.Errorf("engine: RecalculateStaged: %d cyclic cells under a certified schedule", len(cyclic))
 	}
-	if err := e.runStages(s, ce, 1); err != nil {
+	if err := e.runStages(s, cert, rg, 1); err != nil {
 		return Result{}, err
 	}
 	return t.finish(), nil
@@ -120,20 +94,20 @@ func describeBlocker(bs []interfere.Blocker) string {
 // edges — the footprint analysis and the interval-edge sequencer must agree
 // that every dependency spans strictly increasing stages, or the
 // certificate is unsound and the recalculation aborts.
-func (e *Engine) runStages(s *sheet.Sheet, ce *certEntry, workers int) error {
-	if bad := ce.cert.CheckStages(ce.g.CrossEdges()); len(bad) > 0 {
+func (e *Engine) runStages(s *sheet.Sheet, cert *interfere.Cert, rg *regions.Graph, workers int) error {
+	if bad := cert.CheckStages(rg.CrossEdges()); len(bad) > 0 {
 		return fmt.Errorf("engine: parallel certificate violation: %d cross-stage edges not strictly staged (first: region %d -> %d)",
 			len(bad), bad[0][0], bad[0][1])
 	}
 	meters := make([]costmodel.Meter, workers)
-	for _, stage := range ce.cert.Stages {
+	for _, stage := range cert.Stages {
 		// Work lists are materialized on the scheduler goroutine:
 		// RegionCells charges the region graph's op counter, which is not
 		// goroutine-safe.
 		parts := make([][]cell.Addr, workers)
 		for i, ri := range stage {
 			w := i % workers
-			parts[w] = ce.g.RegionCells(parts[w], ri)
+			parts[w] = rg.RegionCells(parts[w], ri)
 		}
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {

@@ -249,34 +249,35 @@ func TestParallelCertFuzz(t *testing.T) {
 			t.Fatalf("round %d (staged): %v", round, err)
 		}
 
-		ce := opt.parallelCertFor(sO, &opt.meter)
+		cert, rg := opt.parallelCertFor(sO, &opt.meter)
+		sr := rg.Regions()
 		g := opt.graph(sO)
-		if ce.cert.Version != g.Version() {
-			t.Fatalf("round %d: certificate version %d, graph version %d", round, ce.cert.Version, g.Version())
+		if cert.Version != g.Version() {
+			t.Fatalf("round %d: certificate version %d, graph version %d", round, cert.Version, g.Version())
 		}
-		if !ce.cert.OK {
-			t.Fatalf("round %d: certificate lost: %+v", round, ce.cert.Blockers)
+		if !cert.OK {
+			t.Fatalf("round %d: certificate lost: %+v", round, cert.Blockers)
 		}
 		// Soundness vs the per-cell graph: sample formula cells and check
 		// every transitive dependent is staged no earlier.
 		for i := 0; i < 12; i++ {
 			from := cell.Addr{Row: 1 + rng.Intn(rows), Col: workload.ColFormula0 + rng.Intn(7)}
-			fromRegion := ce.sr.RegionFor(from)
+			fromRegion := sr.RegionFor(from)
 			if fromRegion < 0 {
 				continue // overwritten by a value edit
 			}
 			for _, dep := range g.TransitiveDependents(from) {
-				depRegion := ce.sr.RegionFor(dep)
+				depRegion := sr.RegionFor(dep)
 				if depRegion < 0 {
 					t.Fatalf("round %d: dependent %s of %s not in any region", round, dep.A1(), from.A1())
 				}
 				if depRegion == fromRegion {
 					continue // intra-region order is the region graph's
 				}
-				if ce.cert.Stage[fromRegion] >= ce.cert.Stage[depRegion] {
+				if cert.Stage[fromRegion] >= cert.Stage[depRegion] {
 					t.Fatalf("round %d: %s (region %d, stage %d) feeds %s (region %d, stage %d): not strictly staged",
-						round, from.A1(), fromRegion, ce.cert.Stage[fromRegion],
-						dep.A1(), depRegion, ce.cert.Stage[depRegion])
+						round, from.A1(), fromRegion, cert.Stage[fromRegion],
+						dep.A1(), depRegion, cert.Stage[depRegion])
 				}
 			}
 		}

@@ -181,14 +181,11 @@ func (e *Engine) Sort(s *sheet.Sheet, col int, ascending bool, headerRows int) (
 		}
 	}
 
-	// Row-keyed optimization structures are stale the moment rows move;
-	// drop them BEFORE any post-sort recalculation consults them.
-	if st := e.opts[s]; st != nil {
-		st.rebuildAfterReorder(e, s)
-	}
-	if e.prof.Recalc.OnSort && s.FormulaCount() > 0 {
+	if !e.prof.Recalc.OnSort || s.FormulaCount() == 0 {
+		e.rowsMoved(s)
+	} else {
 		rsp := obs.Start("sort.recalc")
-		e.rebuildGraph(s, &e.meter)
+		e.rowsMoved(s)
 		if e.prof.Opt.SortRecalcAnalysis {
 			e.evalNonRowLocal(s, &e.meter)
 		} else {
@@ -457,7 +454,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 	t := e.begin(OpFindReplace)
 
 	var changed []cell.Addr
-	st := e.opts[s]
+	st := e.state(s).opt
 	indexed := st != nil && e.prof.Opt.InvertedIndex && len(indexTokens(find)) == 1
 	scanName := "find.scan"
 	if indexed {
@@ -478,6 +475,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 				continue
 			}
 			nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
+			e.removeFormula(s, a)
 			st.noteCellChange(e, s, a, v, nv)
 			s.SetValue(a, nv)
 			e.meter.Add(costmodel.CellWrite, 1)
@@ -495,6 +493,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 					continue
 				}
 				nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
+				e.removeFormula(s, a)
 				if st != nil {
 					st.noteCellChange(e, s, a, v, nv)
 				}
@@ -538,8 +537,8 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 	if dr == 0 && dc == 0 {
 		return src, t.finish(), nil
 	}
-	g := e.graph(s)
-	st := e.opts[s]
+	ss := e.state(s)
+	g, st := ss.g, ss.opt
 	csp := obs.Start("paste.copy").Int("cells", int64(src.Cells()))
 	var pasted, changed []cell.Addr
 	for r := src.Start.Row; r <= src.End.Row; r++ {
@@ -550,6 +549,11 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 			e.meter.Add(costmodel.CellWrite, 1)
 			if fc, ok := s.Formula(from); ok {
 				s.AttachFormula(to, fc)
+				if st != nil {
+					// As for an inserted formula (noteFormulaResult): the
+					// column's typed-value certificate no longer holds.
+					delete(st.typed, to.Col)
+				}
 				fdr, fdc := fc.DeltaAt(to)
 				g.SetFormula(to, fc.Code.PrecedentRanges(fdr, fdc))
 				pasted = append(pasted, to)
@@ -561,10 +565,7 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 			// SetValue would leave its indexes serving stale postings).
 			old := s.Value(to)
 			v := s.Value(from)
-			if _, wasFormula := s.Formula(to); wasFormula {
-				g.RemoveFormula(to)
-				e.noteFormulaRemoved(s, to, &e.meter)
-			}
+			e.removeFormula(s, to)
 			if st != nil {
 				st.noteCellChange(e, s, to, old, v)
 			}
@@ -639,7 +640,8 @@ func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.V
 	esp := obs.Start("insert.eval")
 	var v cell.Value
 	computed := false
-	if st := e.opts[s]; st != nil {
+	st := e.state(s).opt
+	if st != nil {
 		v, computed = st.fastEval(e, s, compiled)
 	}
 	if computed {
@@ -654,7 +656,7 @@ func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.V
 	}
 	esp.End()
 	e.setCached(s, a, v)
-	if st := e.opts[s]; st != nil {
+	if st != nil {
 		st.noteFormulaResult(e, s, a, compiled, v)
 	}
 	e.refreshExternals(&e.meter)
@@ -686,7 +688,8 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 	}
 	t := e.begin(OpBatchInsert)
 	bsp := obs.Start("batch.fill").Int("items", int64(len(items)))
-	g := e.graph(s)
+	ss := e.state(s)
+	g, st := ss.g, ss.opt
 	env := e.env(s, &e.meter, false, true)
 	for _, it := range items {
 		compiled, err := formula.Compile(it.Text)
@@ -704,7 +707,7 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 
 		var v cell.Value
 		computed := false
-		if st := e.opts[s]; st != nil {
+		if st != nil {
 			v, computed = st.fastEval(e, s, compiled)
 		}
 		if computed {
@@ -715,7 +718,7 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 			e.driftClose()
 		}
 		e.setCached(s, it.At, v)
-		if st := e.opts[s]; st != nil {
+		if st != nil {
 			st.noteFormulaResult(e, s, it.At, compiled, v)
 		}
 	}
@@ -739,13 +742,8 @@ func (e *Engine) SetCell(s *sheet.Sheet, a cell.Addr, v cell.Value) (Result, err
 	}
 	t := e.begin(OpSetCell)
 	old := s.Value(a)
-	if _, wasFormula := s.Formula(a); wasFormula {
-		// Overwriting a formula breaks its fill region's uniformity: split
-		// the region (or drop the chain) before the value lands.
-		e.graph(s).RemoveFormula(a)
-		e.noteFormulaRemoved(s, a, &e.meter)
-	}
-	st := e.opts[s]
+	e.removeFormula(s, a)
+	st := e.state(s).opt
 	if st != nil {
 		// Plan-drift: noteCellChange is the edit's maintenance work — index
 		// replacements plus the O(1) aggregate deltas the plan's maintenance

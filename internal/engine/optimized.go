@@ -26,10 +26,12 @@ type optState struct {
 	// install-time value certificate (issueValueCert): every data-row cell
 	// of a certified column holds a number and the column hosts no
 	// formulas, so typed columnar fills skip the per-cell kind dispatch.
+	// Each maps to the sheet's row count when certified; rows a later
+	// write appends are blank, so the claim holds only at that count.
 	// Unlike the value certificate, which any cell change retires, these
 	// survive until a write or formula insert could break them
-	// (noteCellChange, noteFormulaResult, rebuildAfterReorder).
-	typed map[int]bool
+	// (noteCellChange, noteFormulaResult, CopyPaste, rebuildAfterReorder).
+	typed map[int]int
 	// colVer records, per column, the optState version of the column's
 	// last value change; sorted caches ascending-run checks keyed by that
 	// version. sortedEpoch bumps on row reorders, which move values
@@ -84,25 +86,31 @@ func (m *aggMat) value() cell.Value {
 	}
 }
 
-// buildOptState allocates optimization state for a sheet. Most structures
-// build lazily, but the static analyzer's pre-flight runs here: columns
-// that several formulas aggregate (analyze.SharedColumnAggregates — the
-// shared-subexpression rule's engine-facing form) get their prefix-sum
-// indexes eagerly, so the first aggregate query after install is already an
-// index probe rather than a full column scan. Install resets the meters
-// after setup, so the eager build is charged to load, not to experiments.
-func (e *Engine) buildOptState(s *sheet.Sheet) *optState {
-	st := &optState{
+// newOptState returns empty optimization state; every structure builds
+// lazily on first use.
+func newOptState() *optState {
+	return &optState{
 		hash:    make(map[int]*index.Hash),
 		btree:   make(map[int]*index.BTree),
 		prefix:  make(map[int]*index.PrefixSums),
 		fpCache: make(map[uint64]fpEntry),
 		aggs:    make(map[cell.Addr]*aggMat),
-		typed:   make(map[int]bool),
+		typed:   make(map[int]int),
 		colVer:  make(map[int]int64),
 		sorted:  make(map[int]sortedCert),
 	}
-	e.opts[s] = st
+}
+
+// buildOptState attaches optimization state to a loaded sheet. Most
+// structures build lazily, but the static analyzer's pre-flight runs here:
+// columns that several formulas aggregate (analyze.SharedColumnAggregates —
+// the shared-subexpression rule's engine-facing form) get their prefix-sum
+// indexes eagerly, so the first aggregate query after install is already an
+// index probe rather than a full column scan. Install resets the meters
+// after setup, so the eager build is charged to load, not to experiments.
+func (e *Engine) buildOptState(s *sheet.Sheet) {
+	st := newOptState()
+	e.state(s).opt = st
 	if e.prof.Opt.SharedComputation {
 		// Like the rest of setup (§6 builds asynchronously), the eager
 		// build is not charged: snapshot and restore the meter around it.
@@ -118,7 +126,6 @@ func (e *Engine) buildOptState(s *sheet.Sheet) *optState {
 		}
 		e.meter = saved
 	}
-	return st
 }
 
 // sharedAggMin is how many aggregate reads of one column justify building
@@ -168,7 +175,7 @@ func (st *optState) prefixFor(e *Engine, s *sheet.Sheet, col int) *index.PrefixS
 	vals := make([]float64, rows)
 	present := make([]bool, rows)
 	errs := make([]bool, rows)
-	if (st.typed[col] || e.certNumericCol(s, col)) && rows > 0 {
+	if (st.typed[col] == rows || e.certNumericCol(s, col)) && rows > 0 {
 		// Certified all-numeric column — a value column seeded at install or
 		// any column the current value certificate proves error-free
 		// numeric: fill the typed columnar storage without per-cell
@@ -628,19 +635,14 @@ func (st *optState) applyDeltas(e *Engine, s *sheet.Sheet, a cell.Addr, old, new
 // they rebuild lazily on next use. Materialized aggregates are also
 // retired: they are keyed by the hosting cell's address, which the
 // permutation moved (their formulae re-register on the next insert; until
-// then edits recompute them through the ordinary dirty path).
-func (st *optState) rebuildAfterReorder(e *Engine, s *sheet.Sheet) {
-	st.version++
-	st.hash = make(map[int]*index.Hash)
-	st.btree = make(map[int]*index.BTree)
-	st.prefix = make(map[int]*index.PrefixSums)
-	st.inverted = nil
-	st.aggs = make(map[cell.Addr]*aggMat)
-	// Row structure changed (a permutation keeps a column's value multiset,
-	// but inserts/deletes do not); drop the certificates rather than reason
-	// about which survive. They are not rebuilt until the next install.
-	st.typed = make(map[int]bool)
-	st.sortedEpoch++
-	st.colVer = make(map[int]int64)
-	st.sorted = make(map[int]sortedCert)
+// then edits recompute them through the ordinary dirty path). Row
+// structure changed (a permutation keeps a column's value multiset, but
+// inserts/deletes do not), so the certificates go too rather than reason
+// about which survive; they are not rebuilt until the next install. The
+// version and reorder epoch advance, retiring fingerprint-cache entries and
+// every column's cached facts.
+func (st *optState) rebuildAfterReorder() {
+	version, epoch := st.version+1, st.sortedEpoch+1
+	*st = *newOptState()
+	st.version, st.sortedEpoch = version, epoch
 }

@@ -36,8 +36,8 @@ func (e *Engine) RecalculateParallel(s *sheet.Sheet, workers int) (Result, error
 	}
 	t := e.begin(OpSetCell)
 	order, cyclic := e.fullChain(s, &e.meter)
-	if ce := e.parallelCertFor(s, &e.meter); len(cyclic) == 0 && ce.cert.OK && ce.g.OK() {
-		if err := e.runStages(s, ce, workers); err != nil {
+	if cert, rg := e.parallelCertFor(s, &e.meter); len(cyclic) == 0 && cert.OK && rg.OK() {
+		if err := e.runStages(s, cert, rg, workers); err != nil {
 			return Result{}, err
 		}
 		return t.finish(), nil

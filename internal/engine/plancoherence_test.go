@@ -253,11 +253,8 @@ func TestOpenResetsPlan(t *testing.T) {
 	if _, err := e.Open(path); err != nil {
 		t.Fatal(err)
 	}
-	_, chain := e.chains[old]
-	_, cert := e.certs[old]
-	_, vcert := e.vcerts[old]
-	if chain || cert || vcert {
-		t.Errorf("Open kept derived state of the previous workbook (chain %v, cert %v, value cert %v)", chain, cert, vcert)
+	if _, kept := e.sheets[old]; kept {
+		t.Error("Open kept derived state of the previous workbook")
 	}
 	got := e.Plan()
 	if n := len(got.Choices()); n != 1 {
@@ -291,6 +288,53 @@ func TestPlanTracksAddedSheets(t *testing.T) {
 	checkPlanCoherent(t, e, "pivot + COUNTIF")
 }
 
+// TestPivotSheetGetsOptState: a sheet a pivot adds gets optimization state
+// on first use, so under optimized a COUNTIF inserted there is served by an
+// index (engine_fast_eval_hits), and under planned, which prices one use on
+// a small sheet as a scan, the plan resting on the sheet's statistics
+// survives a later unrelated operation. Both answer as excel does.
+func TestPivotSheetGetsOptState(t *testing.T) {
+	withEngineTracing(t)
+	var want cell.Value
+	for _, name := range []string{"excel", "optimized", "planned"} {
+		wb := workload.Weather(workload.Spec{Rows: 200, Formulas: true})
+		e := New(Profiles()[name])
+		if err := e.Install(wb); err != nil {
+			t.Fatal(err)
+		}
+		s := wb.First()
+		ps, _, err := e.PivotTable(s, 1, 9, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hits := e.met.fastEvalHits.Value()
+		got, _, err := e.InsertFormula(ps, cell.Addr{Row: 1, Col: 3}, fmt.Sprintf("=COUNTIF(B2:B%d,0)", ps.Rows()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if name == "excel" {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("%s: COUNTIF on the pivot sheet = %v, excel %v", name, got, want)
+		}
+		if name == "optimized" {
+			if n := e.met.fastEvalHits.Value() - hits; n != 1 {
+				t.Errorf("COUNTIF on the pivot sheet took %d fast paths, want 1", n)
+			}
+			continue
+		}
+		p, builds := e.Plan(), e.met.planBuilds.Value()
+		if _, err := e.Recalculate(s); err != nil {
+			t.Fatal(err)
+		}
+		if e.Plan() != p || e.met.planBuilds.Value() != builds {
+			t.Errorf("an unrelated recalculation rebuilt the plan (%d builds, want %d)", e.met.planBuilds.Value(), builds)
+		}
+	}
+}
+
 // TestPlanReuseObservable: the engine.plan_build span says which inputs a
 // rebuild reused, and engine_plan_reuse counts hits and builds per part.
 func TestPlanReuseObservable(t *testing.T) {
@@ -306,12 +350,17 @@ func TestPlanReuseObservable(t *testing.T) {
 	if _, _, err := e.InsertFormula(s, cell.Addr{Row: 1, Col: 20}, "=MATCH(5,A2:A200,0)"); err != nil {
 		t.Fatal(err)
 	}
-	e.SettledPlan()
+	before := e.SettledPlan()
 	obs.Reset()
 	obs.Default.ResetValues()
 
 	if _, err := e.SetCell(s, cell.Addr{Row: 5, Col: 1}, cell.Str("x")); err != nil {
 		t.Fatal(err)
+	}
+	// The edit's own consults rebuild the plan inside the edit, traced or
+	// not: the drift monitor's pre-edit read must not pin the old plan.
+	if e.Plan() == before {
+		t.Error("right after an edit to a consulted column, Plan() is still the pre-edit plan")
 	}
 	e.SettledPlan()
 

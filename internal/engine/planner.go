@@ -7,32 +7,18 @@ import (
 )
 
 // This file is the consumption side of the cost-based planner
-// (internal/plan). Plans follow the same lifecycle as the value
-// certificates (valuecert.go): derived uncharged (planning is static
+// (internal/plan). The plan is derived uncharged (planning is static
 // analysis over stored values and formula ASTs — the same work a real
-// engine's optimizer does off the metered path), keyed by the versions
-// they were derived under, and refreshed once they go stale.
+// engine's optimizer does off the metered path); its validity keys and the
+// two guards that bound rebuilds (version check, once per operation) are in
+// the lifecycle table of docs/ANALYSIS.md. A stale plan is safe — it is
+// advisory for cost only; every fast path keeps its own soundness guard.
 //
-// Two guards bound how often a plan is rebuilt:
-//
-//   - Validity is keyed on the workbook's sheet list, per-sheet GRAPH
-//     versions and dimensions, and the versions of exactly the columns whose statistics
-//     the plan consulted — NOT the raw optState version, which bumps on
-//     every cached write a recalculation makes and would force O(n)
-//     rebuilds per pass.
-//   - A plan is rebuilt at most once per engine operation (opSeq): the
-//     first consult after an edit re-plans against fresh statistics, and
-//     every later consult in the same operation reuses that plan even if
-//     the operation keeps mutating. A stale plan is safe — it is advisory
-//     for cost only; every fast path keeps its own soundness guard.
-//
-// A rebuild re-derives only what the triggering change invalidated. The
-// engine's plan.Cache persists across rebuilds and keys each derivation by
-// the same versions: column statistics and value-column certificates by
-// (column version, graph version), the site inventory and region facts by
-// graph version. A value edit therefore recollects the edited column's
-// statistics and re-prices the choices, while formula-set analyses wait
-// for a formula edit. The rebuilt plan equals a cold plan.Build.
+// A rebuild re-derives only what the triggering change invalidated: the
+// engine's plan.Cache persists across rebuilds and keys column statistics
+// and value-column certificates by (column version, graph version), the
+// site inventory and region facts by graph version. The rebuilt plan
+// equals a cold plan.Build.
 
 // planEntry is one derived plan plus the versions it was built under.
 type planEntry struct {
@@ -67,19 +53,17 @@ func (e *Engine) sheetVersion(s *sheet.Sheet) sheetVersion {
 // colVersion is the statistics invalidation key for one column: the
 // optState column version closed over the reorder epoch (a sort moves
 // values between rows without routing them through noteCellChange, so the
-// epoch is what retires a never-written column's statistics). A sheet
-// without optimization state (one a pivot added) tracks no column
-// versions, so its key is the negated operation number: statistics about
-// it are recollected, and plans resting on them rebuilt, once per
-// operation.
+// epoch is what retires a never-written column's statistics). A loaded
+// sheet whose optimization state Install has not attached yet reads 0,
+// the key a fresh optState starts from.
 func (e *Engine) colVersion(name string, col int) int64 {
 	s := e.wb.Sheet(name)
 	if s == nil {
 		return 0
 	}
-	st := e.opts[s]
+	st := e.state(s).opt
 	if st == nil {
-		return -e.opSeq
+		return 0
 	}
 	return st.sortedEpoch<<32 | (st.colVer[col] & 0xffffffff)
 }

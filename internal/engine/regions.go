@@ -3,7 +3,6 @@ package engine
 import (
 	"repro/internal/cell"
 	"repro/internal/costmodel"
-	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/regions"
 	"repro/internal/sheet"
@@ -11,77 +10,77 @@ import (
 
 // The RegionGraph optimization: calc-chain sequencing and dirty propagation
 // operate on inferred fill regions (internal/regions) instead of per-cell
-// graph nodes. Validity is keyed to the per-cell graph's version — every
-// formula-set change (insert, overwrite, copy-paste, the Clear inside a
-// post-sort or structural-edit rebuild) bumps it, so a stale chain can
-// never be consulted; it is lazily re-inferred on the next sequencing
-// request. The one incremental path is a formula overwrite on an otherwise
-// unchanged sheet: the hosting region splits in place (SplitAt) and only
-// the O(#regions) graph is rebuilt.
-type regionChain struct {
-	version int64 // graph.Version the chain was built against
-	sr      *regions.SheetRegions
-	g       *regions.Graph
-}
+// graph nodes. The region graph, with the inference it holds, is a
+// formula-set artifact of the sheet's derived state (lifecycle in
+// docs/ANALYSIS.md); its one incremental path is a formula overwrite on an
+// otherwise unchanged sheet, where the hosting region splits in place
+// (SplitAt) and only the O(#regions) graph is rebuilt.
 
-// regionChainFor returns a region chain valid for the sheet's current
-// formula set, re-running the inference when stale. Returns nil when the
-// optimization is off. The inference and graph build are charged to DepOp —
-// they replace the per-cell sequencing work the naive path would charge.
-func (e *Engine) regionChainFor(s *sheet.Sheet, meter *costmodel.Meter) *regionChain {
-	if !e.prof.Opt.RegionGraph {
-		return nil
-	}
-	g := e.graph(s)
-	if rc := e.regions[s]; rc != nil && rc.version == g.Version() {
-		return rc
+// regionsFor returns the region graph of the sheet's current formula set,
+// inferring it when stale. Under the RegionGraph optimization the
+// inference and graph build are charged to DepOp — they replace the
+// per-cell sequencing work the naive path would charge; on other profiles
+// only the parallel certificate reads them, and that static analysis is
+// uncharged.
+func (e *Engine) regionsFor(s *sheet.Sheet, meter *costmodel.Meter) *regions.Graph {
+	ss := e.state(s).current()
+	if ss.region != nil {
+		return ss.region
 	}
 	sp := obs.Start("regions.reinfer")
 	defer sp.End()
 	e.met.regionReinfer.Add(1)
 	sr := regions.Infer(s)
 	rg := regions.Build(sr)
-	meter.Add(costmodel.DepOp, sr.Ops()+rg.Ops())
+	if e.prof.Opt.RegionGraph {
+		meter.Add(costmodel.DepOp, sr.Ops()+rg.Ops())
+	}
 	sr.ResetOps()
 	rg.ResetOps()
-	rc := &regionChain{version: g.Version(), sr: sr, g: rg}
-	e.regions[s] = rc
-	return rc
+	ss.region = rg
+	return rg
+}
+
+// removeFormula takes the formula at a, if any, out of the dependency
+// graph before a literal lands on the cell (an edit, a paste, or a
+// find-replace over a formula's text result).
+func (e *Engine) removeFormula(s *sheet.Sheet, a cell.Addr) {
+	if _, ok := s.Formula(a); ok {
+		e.graph(s).RemoveFormula(a)
+		e.noteFormulaRemoved(s, a, &e.meter)
+	}
 }
 
 // noteFormulaRemoved keeps the region chain valid across a formula
-// overwrite — the uniformity-breaking edit. When the chain was fresh
-// immediately before the removal, the hosting region splits around the cell
-// and the region graph rebuilds in O(#regions); otherwise the chain is
-// dropped for lazy re-inference.
+// overwrite — the uniformity-breaking edit. When the chain was current
+// immediately before the removal, the hosting region splits around the
+// cell and the region graph rebuilds in O(#regions); otherwise the stale
+// chain is left for lazy re-inference.
 func (e *Engine) noteFormulaRemoved(s *sheet.Sheet, a cell.Addr, meter *costmodel.Meter) {
 	if !e.prof.Opt.RegionGraph {
 		return
 	}
-	rc := e.regions[s]
-	if rc == nil {
-		return
-	}
-	g := e.graph(s)
-	if rc.version != g.Version()-1 {
-		delete(e.regions, s)
+	ss := e.state(s)
+	if ss.region == nil || ss.ver != ss.g.Version()-1 {
 		return
 	}
 	sp := obs.Start("regions.split")
 	defer sp.End()
-	rc.sr.ResetOps()
-	if !rc.sr.SplitAt(a) {
+	sr := ss.region.Regions()
+	sr.ResetOps()
+	if !sr.SplitAt(a) {
 		sp.Str("outcome", "dropped")
-		delete(e.regions, s)
 		return
 	}
 	e.met.regionsSplit.Add(1)
 	sp.Str("outcome", "split")
-	rc.g = regions.Build(rc.sr)
-	meter.Add(costmodel.DepOp, rc.sr.Ops()+rc.g.Ops())
-	rc.sr.ResetOps()
-	rc.g.ResetOps()
-	rc.version = g.Version()
+	rg := regions.Build(sr)
+	meter.Add(costmodel.DepOp, sr.Ops()+rg.Ops())
+	sr.ResetOps()
+	rg.ResetOps()
+	// The other formula-set artifacts go with the old version; the split
+	// chain is current at the new one.
+	ss.current().region = rg
 }
 
 // dirtyOrder computes the evaluation order of the transitive dependents of
@@ -91,14 +90,14 @@ func (e *Engine) noteFormulaRemoved(s *sheet.Sheet, a cell.Addr, meter *costmode
 // value) and never reports cyclic cells — region sequencing succeeds only
 // on sheets whose per-cell graph is acyclic.
 func (e *Engine) dirtyOrder(s *sheet.Sheet, changed []cell.Addr, meter *costmodel.Meter) (order, cyclic []cell.Addr) {
-	// The planner veto runs before regionChainFor so a vetoed path is not
+	// The planner veto runs before regionsFor so a vetoed path is not
 	// charged for (re)inferring a chain it will not use.
-	if e.plannedRegionChain(s) {
-		if rc := e.regionChainFor(s, meter); rc != nil && rc.g.OK() {
-			rc.g.ResetOps()
-			order = rc.g.DirtyFrom(changed)
-			meter.Add(costmodel.DepOp, rc.g.Ops())
-			rc.g.ResetOps()
+	if e.plannedRegionChain(s) && e.prof.Opt.RegionGraph {
+		if rg := e.regionsFor(s, meter); rg.OK() {
+			rg.ResetOps()
+			order = rg.DirtyFrom(changed)
+			meter.Add(costmodel.DepOp, rg.Ops())
+			rg.ResetOps()
 			return order, nil
 		}
 	}
@@ -114,14 +113,10 @@ func (e *Engine) dirtyOrder(s *sheet.Sheet, changed []cell.Addr, meter *costmode
 // diagnostics: region/formula counts and whether region-level sequencing is
 // active (built, valid, and ordered). It never builds the chain.
 func (e *Engine) RegionChainInfo(s *sheet.Sheet) (regionCount, formulaCount int, active bool) {
-	rc := e.regions[s]
-	if rc == nil {
+	ss := e.sheets[s]
+	if ss == nil || ss.region == nil || !e.prof.Opt.RegionGraph {
 		return 0, 0, false
 	}
-	var g *graph.Graph
-	if g = e.graphs[s]; g == nil {
-		return 0, 0, false
-	}
-	valid := rc.version == g.Version()
-	return len(rc.sr.Regions), rc.sr.Formulas, valid && rc.g.OK()
+	sr := ss.region.Regions()
+	return len(sr.Regions), sr.Formulas, ss.ver == ss.g.Version() && ss.region.OK()
 }

@@ -126,13 +126,9 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	e.meter.Add(costmodel.CellWrite, int64(n)*span)
 
 	// Phase 3: re-sequence and recompute (all three systems treat
-	// structural edits as full invalidations), and rebuild row-keyed
-	// optimization structures.
-	if st := e.opts[s]; st != nil {
-		st.rebuildAfterReorder(e, s)
-	}
+	// structural edits as full invalidations).
+	e.rowsMoved(s)
 	if s.FormulaCount() > 0 {
-		e.rebuildGraph(s, &e.meter)
 		e.evalAll(s, &e.meter)
 	}
 	e.refreshExternals(&e.meter)

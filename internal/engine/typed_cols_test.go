@@ -160,7 +160,7 @@ func TestTypedColumnsSeededAtInstall(t *testing.T) {
 	if err := e.Install(wb); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.opts[s].typed; len(got) != 1 || !got[0] {
+	if got := e.sheets[s].opt.typed; len(got) != 1 || got[0] != s.Rows() {
 		t.Errorf("typed columns = %v, want only column 0", got)
 	}
 }

@@ -22,18 +22,11 @@ import (
 //     per-use soundness guard (the cached value must still equal the
 //     certified constant).
 //
-// Certificates follow the same lifecycle as the parallel-safety shim
-// (interfere.go): issued uncharged, keyed by the versions they were
-// derived under, and silently dropped — never consulted stale — once a
-// formula-set edit (graph version) or any cell change (optState version)
-// could break a claim.
+// A certificate is a formula-set artifact of the sheet's derived state,
+// also keyed by the optState version (lifecycle in docs/ANALYSIS.md).
 
-// valueCertEntry is one sheet's installed value certificate plus the
-// versions it was derived under.
+// valueCertEntry is one sheet's installed value certificate.
 type valueCertEntry struct {
-	// graphVersion invalidates on formula-set edits (SetFormula/Clear),
-	// mirroring the interference certificate.
-	graphVersion int64
 	// optVersion invalidates on any cell value change: a certified
 	// constant's precedents are ordinary cells, so a single write can turn
 	// the claim stale while the constant's own cached value still matches.
@@ -54,16 +47,16 @@ func (e *Engine) issueValueCert(s *sheet.Sheet) *valueCertEntry {
 	inf := absint.InferSheet(s)
 	cert := inf.Certify()
 	ce := &valueCertEntry{
-		graphVersion: e.graph(s).Version(),
-		cert:         cert,
-		skips:        make(map[cell.Addr]cell.Value, len(cert.Consts)),
+		cert:  cert,
+		skips: make(map[cell.Addr]cell.Value, len(cert.Consts)),
 	}
 	for a, cv := range cert.Consts {
 		if s.Value(a) == cv {
 			ce.skips[a] = cv
 		}
 	}
-	if st := e.opts[s]; st != nil {
+	ss := e.state(s).current()
+	if st := ss.opt; st != nil {
 		ce.optVersion = st.version
 		// Statically certified ascending runs seed the sortedness cache:
 		// interval separation already proved the concrete values are an
@@ -77,11 +70,11 @@ func (e *Engine) issueValueCert(s *sheet.Sheet) *valueCertEntry {
 				st.noteSorted(cc.Col, cc.NumericFrom, cc.R1, true)
 			}
 			if !cc.HasFormula && cc.NumericFrom <= 1 && cc.R1 >= 1 && cc.R1 == s.Rows()-1 {
-				st.typed[cc.Col] = true
+				st.typed[cc.Col] = s.Rows()
 			}
 		}
 	}
-	e.vcerts[s] = ce
+	ss.vcert = ce
 	sp.Int("formulas", int64(cert.Formulas)).
 		Int("consts", int64(len(ce.skips))).
 		Int("columns", int64(len(cert.Columns)))
@@ -93,15 +86,11 @@ func (e *Engine) issueValueCert(s *sheet.Sheet) *valueCertEntry {
 // an optState there is no cell-change versioning, so no certificate is
 // ever considered valid.
 func (e *Engine) validValueCert(s *sheet.Sheet) *valueCertEntry {
-	ce := e.vcerts[s]
-	if ce == nil || ce.graphVersion != e.graph(s).Version() {
-		return nil
+	ss := e.state(s).current()
+	if ce := ss.vcert; ce != nil && ss.opt != nil && ss.opt.version == ce.optVersion {
+		return ce
 	}
-	st := e.opts[s]
-	if st == nil || st.version != ce.optVersion {
-		return nil
-	}
-	return ce
+	return nil
 }
 
 // ValueCert returns the sheet's value certificate, re-deriving it when
@@ -170,7 +159,7 @@ func (e *Engine) certSortedAsc(src formula.Source, meter *costmodel.Meter, col, 
 	if s == nil {
 		return false
 	}
-	st := e.opts[s]
+	st := e.state(s).opt
 	if st == nil {
 		return false
 	}
@@ -196,8 +185,8 @@ type sortedCert struct {
 	ok     bool
 }
 
-// noteSorted records a proven result for the column at its current
-// version (static seeding at issuance).
+// noteSorted records a result for the column at its current version and
+// reorder epoch.
 func (st *optState) noteSorted(col, r0, r1 int, ok bool) {
 	st.sorted[col] = sortedCert{ver: st.colVer[col], epoch: st.sortedEpoch, r0: r0, r1: r1, ok: ok}
 }
@@ -216,19 +205,27 @@ func (st *optState) sortedAsc(s *sheet.Sheet, meter *costmodel.Meter, col, r0, r
 	if r0 < 0 || r1 >= s.Rows() || r0 > r1 {
 		return false
 	}
-	cv := st.colVer[col]
-	if sc, ok := st.sorted[col]; ok && sc.ver == cv && sc.epoch == st.sortedEpoch {
-		if sc.ok && r0 >= sc.r0 && r1 <= sc.r1 {
-			return true // sortedness of a run covers every sub-run
-		}
-		if sc.r0 == r0 && sc.r1 == r1 {
-			return sc.ok
-		}
+	if ok, hit := st.sortedCached(col, r0, r1); hit {
+		return ok
 	}
 	ok := absint.SortedAscRun(s, col, r0, r1)
 	if meter != nil {
 		meter.Add(costmodel.CellTouch, int64(r1-r0+1))
 	}
-	st.sorted[col] = sortedCert{ver: cv, epoch: st.sortedEpoch, r0: r0, r1: r1, ok: ok}
+	st.noteSorted(col, r0, r1, ok)
 	return ok
+}
+
+// sortedCached answers [r0, r1] from the column's cached check when it is
+// still at the column's version and reorder epoch; the plan-drift monitor
+// reads it to tell whether a lookup will pay the rescan.
+func (st *optState) sortedCached(col, r0, r1 int) (ok, hit bool) {
+	sc, cached := st.sorted[col]
+	if !cached || sc.ver != st.colVer[col] || sc.epoch != st.sortedEpoch {
+		return false, false
+	}
+	if sc.ok && r0 >= sc.r0 && r1 <= sc.r1 {
+		return true, true // sortedness of a run covers every sub-run
+	}
+	return sc.ok, sc.r0 == r0 && sc.r1 == r1
 }

@@ -294,7 +294,7 @@ func TestValueCertSortedCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	data := wb.First()
-	st := e.opts[data]
+	st := e.sheets[data].opt
 	if st == nil {
 		t.Fatal("no optState")
 	}

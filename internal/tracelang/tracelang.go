@@ -5,6 +5,7 @@
 //
 //	sheet <name>              switch the active sheet
 //	set A1 <value>            write a literal cell
+//	clear A1                  empty a cell
 //	formula A1 =TEXT          insert a formula
 //	sort <col> [asc|desc]     sort by column
 //	filter <col> <value>      filter rows; "filter off" clears
@@ -112,6 +113,15 @@ func parseStmt(stmt string) (Op, string) {
 			return nil, err.Error()
 		}
 		return SetOp{At: a, Raw: strings.Join(f[2:], " ")}, ""
+	case "clear":
+		if len(f) != 2 {
+			return nil, "want: clear <addr>"
+		}
+		a, err := cell.ParseAddr(f[1])
+		if err != nil {
+			return nil, err.Error()
+		}
+		return ClearOp{At: a}, ""
 	case "formula":
 		if len(f) < 3 {
 			return nil, "want: formula <addr> =TEXT"
@@ -274,6 +284,15 @@ func (o SetOp) apply(x *Exec) error {
 		v = cell.Num(n)
 	}
 	_, err := x.Eng.SetCell(x.S, o.At, v)
+	return err
+}
+
+// ClearOp empties a cell, dropping any formula it held.
+type ClearOp struct{ At cell.Addr }
+
+func (o ClearOp) String() string { return "clear " + o.At.A1() }
+func (o ClearOp) apply(x *Exec) error {
+	_, err := x.Eng.SetCell(x.S, o.At, cell.Value{})
 	return err
 }
 

@@ -12,15 +12,15 @@ import (
 // TestParseRoundTrip: Format(Parse(s)) re-parses to the same ops — the
 // property the fuzzer's minimizer relies on to emit replayable repros.
 func TestParseRoundTrip(t *testing.T) {
-	script := "sheet summary; set B2 42; set C3 hello; formula D4 =SUM(A1:A9); " +
+	script := "sheet summary; set B2 42; set C3 hello; clear C3; formula D4 =SUM(A1:A9); " +
 		"sort B desc; sort C; filter B TX; filter off; pivot B D; " +
 		"find TX XT; paste A1:B3 D7; paste C2 E5; rowins 5 2; rowdel 9 1; recalc"
 	stmts, err := Parse(script)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
-	if len(stmts) != 15 {
-		t.Fatalf("parsed %d statements, want 15", len(stmts))
+	if len(stmts) != 16 {
+		t.Fatalf("parsed %d statements, want 16", len(stmts))
 	}
 	ops := make([]Op, len(stmts))
 	for i, st := range stmts {
@@ -67,6 +67,8 @@ func TestParseErrorsPositioned(t *testing.T) {
 		{"paste A1", 1, "paste A1"},
 		{"paste A1:B2:C3 D1", 1, "A1:B2:C3"},
 		{"paste A1:B2 ??", 1, "??"},
+		{"clear", 1, "clear"},
+		{"clear A1 B1", 1, "clear A1 B1"},
 		{"rowins", 1, "rowins"},
 		{"rowins 0", 1, "rowins 0"},
 		{"rowins x", 1, "rowins x"},

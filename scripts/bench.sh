@@ -29,7 +29,9 @@ cd "$(dirname "$0")/.."
 
 out="BENCH_engine.json"
 hist="BENCH_history.jsonl"
-args=(-bench=. -benchmem -run '^$')
+# -cpu 1 keeps benchmark names free of the -N GOMAXPROCS suffix, so they
+# match BENCH_baseline.json's rows (recorded the same way) on any machine.
+args=(-bench=. -benchmem -run '^$' -cpu 1)
 if [ "${1:-}" = "-quick" ]; then
     shift
     args+=(-benchtime=1x -count=3)

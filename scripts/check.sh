@@ -28,9 +28,11 @@
 #              writer packages
 #   fuzz       differential fuzz smoke: the fuzzdiff suite (every workload
 #              x2 sizes, the mutation-catch test, and the checked-in
-#              regression seed corpus) plus the trace-language parser
-#              seeds, all replayed deterministically — no -fuzz
-#              exploration; the nightly workflow owns the time budget
+#              regression seed corpus), the engine's derived-state
+#              coherence oracle over generated and delete-heavy op streams,
+#              plus the trace-language parser seeds, all replayed
+#              deterministically — no -fuzz exploration; the nightly
+#              workflow owns the time budget
 #   benchdiff  bench regression gate: diff the fresh bench-smoke record
 #              against the committed BENCH_baseline.json with
 #              cmd/benchdiff. Smoke timings are min-of-3 single
@@ -134,6 +136,9 @@ fi
 if [ "$stage" = "fuzz" ] || [ "$stage" = "all" ]; then
     echo "== fuzzdiff differential suite + regression seed corpus =="
     go test -count=1 ./internal/fuzzdiff
+
+    echo "== derived-state coherence oracle (every op, optimized + planned) =="
+    go test -count=1 -run 'DerivedState' ./internal/engine
 
     echo "== trace-language parser fuzz seeds =="
     go test -count=1 -run 'FuzzTraceScript' ./cmd/sheetcli
