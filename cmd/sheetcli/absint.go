@@ -1,75 +1,14 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
 	"io"
 	"sort"
 
 	"repro/internal/absint"
 	"repro/internal/cell"
-	"repro/internal/iolib"
+	"repro/internal/report"
 	"repro/internal/sheet"
-	"repro/internal/workload"
 )
-
-// runAbsint implements the `sheetcli absint` subcommand: it runs the
-// abstract-interpretation value analysis (internal/absint) over a workbook
-// and reports the certificates the optimized engine consumes — per-column
-// abstract kinds, numeric intervals, error-freedom, sortedness direction,
-// and the certified-constant formula cells — without evaluating a single
-// formula.
-//
-// Usage: sheetcli absint [-json] [-rows n] [-seed n] [-max n] [file.svf]
-func runAbsint(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("absint", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	jsonOut := fs.Bool("json", false, "emit the report as JSON")
-	rows := fs.Int("rows", 5000, "rows of the generated weather dataset (ignored with a file argument)")
-	seed := fs.Uint64("seed", 0, "generator seed; 0 means the default")
-	maxList := fs.Int("max", 20, "max columns and constants listed per sheet; -1 removes the cap")
-	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: sheetcli absint [-json] [-rows n] [-seed n] [-max n] [file.svf]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *rows < 0 {
-		fmt.Fprintln(errOut, "sheetcli: -rows must be non-negative")
-		return 2
-	}
-
-	var wb *sheet.Workbook
-	if fs.NArg() > 0 {
-		res, err := iolib.LoadWorkbook(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-		wb = res.Workbook
-	} else {
-		wb = workload.Weather(workload.Spec{
-			Rows: *rows, Formulas: true, Seed: *seed, Analysis: true,
-		})
-	}
-
-	rep := absintReportFor(wb)
-	var err error
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-	} else {
-		err = rep.writeText(out, *maxList)
-	}
-	if err != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-		return 1
-	}
-	return 0
-}
 
 // absintColumnEntry is one column certificate in the report.
 type absintColumnEntry struct {
@@ -124,6 +63,11 @@ type absintReport struct {
 	Consts   int                  `json:"consts"`
 }
 
+// absintReportFor runs the abstract-interpretation value analysis
+// (internal/absint) over a workbook: the certificates the optimized engine
+// consumes, namely per-column abstract kinds, numeric intervals,
+// error-freedom and sortedness direction, and the certified-constant
+// formula cells.
 func absintReportFor(wb *sheet.Workbook) *absintReport {
 	rep := &absintReport{}
 	for _, s := range wb.Sheets() {
@@ -187,79 +131,44 @@ func spanA1(col, r0, r1 int) string {
 	return from + ":" + cell.Addr{Row: r1, Col: col}.A1()
 }
 
+// writeText renders the report for terminals: a workbook summary line, then
+// per sheet the column certificates and the certified constants, each list
+// capped at maxList entries.
 func (rep *absintReport) writeText(w io.Writer, maxList int) error {
-	if _, err := fmt.Fprintf(w, "workbook: %d sheet(s), %d formula(s), %d certified constant(s)\n",
-		len(rep.Sheets), rep.Formulas, rep.Consts); err != nil {
-		return err
-	}
+	l := report.NewLines(w)
+	l.Printf("workbook: %d sheet(s), %d formula(s), %d certified constant(s)\n",
+		len(rep.Sheets), rep.Formulas, rep.Consts)
 	for _, sr := range rep.Sheets {
-		if err := sr.writeText(w, maxList); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sr *sheetAbsintReport) writeText(w io.Writer, maxList int) error {
-	_, err := fmt.Fprintf(w, "\nsheet %q: %d formula(s), %d cyclic, %d constant(s) (%d dropped volatile)\n",
-		sr.Sheet, sr.Formulas, sr.Cyclic, sr.Consts, sr.ConstDropped)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  certificates: %d column(s), %d ascending, %d error-free\n",
-		len(sr.Columns), sr.AscColumns, sr.ErrorFreeColumns); err != nil {
-		return err
-	}
-	shown := sr.Columns
-	if maxList >= 0 && len(shown) > maxList {
-		shown = shown[:maxList]
-	}
-	for _, en := range shown {
-		flags := ""
-		if en.Dir != "" {
-			flags += " " + en.Dir
-		}
-		if en.ErrorFree {
-			flags += " error-free"
-		}
-		if en.HasFormula {
-			flags += " formulas"
-		}
-		if en.NumericRun != "" && en.NumericRun != en.Range {
-			flags += " numeric:" + en.NumericRun
-		}
-		kinds := en.Kinds
-		if len(kinds) > 28 {
-			kinds = kinds[:25] + "..."
-		}
-		if _, err := fmt.Fprintf(w, "    %-14s %6d cell(s)  %-28s %-18s%s\n",
-			en.Range, en.Cells, kinds, en.Interval, flags); err != nil {
-			return err
-		}
-	}
-	if dropped := len(sr.Columns) - len(shown); dropped > 0 {
-		if _, err := fmt.Fprintf(w, "    ... %d more not shown\n", dropped); err != nil {
-			return err
-		}
-	}
-	if len(sr.ConstList) > 0 {
-		if _, err := fmt.Fprintln(w, "  constants:"); err != nil {
-			return err
-		}
-		shownC := sr.ConstList
-		if maxList >= 0 && len(shownC) > maxList {
-			shownC = shownC[:maxList]
-		}
-		for _, c := range shownC {
-			if _, err := fmt.Fprintf(w, "    %-6s = %s\n", c.Cell, c.Value); err != nil {
-				return err
+		l.Printf("\nsheet %q: %d formula(s), %d cyclic, %d constant(s) (%d dropped volatile)\n",
+			sr.Sheet, sr.Formulas, sr.Cyclic, sr.Consts, sr.ConstDropped)
+		l.Printf("  certificates: %d column(s), %d ascending, %d error-free\n",
+			len(sr.Columns), sr.AscColumns, sr.ErrorFreeColumns)
+		report.List(l, sr.Columns, maxList, func(en absintColumnEntry) {
+			flags := ""
+			if en.Dir != "" {
+				flags += " " + en.Dir
 			}
-		}
-		if dropped := len(sr.ConstList) - len(shownC); dropped > 0 {
-			if _, err := fmt.Fprintf(w, "    ... %d more not shown\n", dropped); err != nil {
-				return err
+			if en.ErrorFree {
+				flags += " error-free"
 			}
+			if en.HasFormula {
+				flags += " formulas"
+			}
+			if en.NumericRun != "" && en.NumericRun != en.Range {
+				flags += " numeric:" + en.NumericRun
+			}
+			kinds := en.Kinds
+			if len(kinds) > 28 {
+				kinds = kinds[:25] + "..."
+			}
+			l.Printf("    %-14s %6d cell(s)  %-28s %-18s%s\n", en.Range, en.Cells, kinds, en.Interval, flags)
+		})
+		if len(sr.ConstList) > 0 {
+			l.Println("  constants:")
 		}
+		report.List(l, sr.ConstList, maxList, func(c absintConstEntry) {
+			l.Printf("    %-6s = %s\n", c.Cell, c.Value)
+		})
 	}
-	return nil
+	return l.Err()
 }

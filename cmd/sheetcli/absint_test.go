@@ -3,38 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenAbsint runs `sheetcli absint` with the given flags and compares the
-// output against (or, with -update, rewrites) the named golden file.
-func goldenAbsint(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runAbsint(args, &out, &errOut); code != 0 {
-		t.Fatalf("runAbsint(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
 func TestAbsintGoldenText(t *testing.T) {
-	out := string(goldenAbsint(t, "absint_200.txt", fixtureArgs))
+	out := string(golden(t, subcmd("absint"), "absint_200.txt", fixtureArgs))
 	// The weather fixture's ID column is the statically ascending lookup
 	// key; the analysis block contributes the cyclic cells.
 	for _, want := range []string{
@@ -50,7 +25,7 @@ func TestAbsintGoldenText(t *testing.T) {
 }
 
 func TestAbsintGoldenJSON(t *testing.T) {
-	out := goldenAbsint(t, "absint_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("absint"), "absint_200.json", append([]string{"-json"}, fixtureArgs...))
 	var rep struct {
 		Formulas int `json:"formulas"`
 		Sheets   []struct {
@@ -98,7 +73,7 @@ func TestAbsintGoldenJSON(t *testing.T) {
 
 func TestAbsintBadFile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runAbsint([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
+	if code := subcmd("absint")([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
 		t.Errorf("exit = %d, want 1 for a missing file", code)
 	}
 	if errOut.Len() == 0 {

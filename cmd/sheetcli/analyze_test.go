@@ -3,60 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"repro/internal/iolib"
-	"repro/internal/workload"
 )
 
-// writeFixtureSvf saves the analysis fixture workbook as an .svf file.
-func writeFixtureSvf(t *testing.T, path string) {
-	t.Helper()
-	wb := workload.Weather(workload.Spec{Rows: 200, Formulas: true, Analysis: true})
-	if err := iolib.SaveWorkbook(path, wb); err != nil {
-		t.Fatal(err)
-	}
-}
-
-var update = flag.Bool("update", false, "rewrite the golden files")
-
-// golden runs `sheetcli analyze` with the given flags and compares the
-// output against (or, with -update, rewrites) the named golden file.
-func golden(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runAnalyze(args, &out, &errOut); code != 0 {
-		t.Fatalf("runAnalyze(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
-// The fixture is the 200-row weather dataset with the analysis summary
-// block: small enough to read, rich enough to trip five rules.
-var fixtureArgs = []string{"-rows", "200"}
-
 func TestAnalyzeGoldenText(t *testing.T) {
-	out := golden(t, "analyze_200.txt", fixtureArgs)
+	out := golden(t, subcmd("analyze"), "analyze_200.txt", fixtureArgs)
 	// The acceptance bar: distinct rule IDs with correct cell anchors.
 	for _, want := range []string{
 		"volatile-recalc S5",
@@ -72,7 +25,7 @@ func TestAnalyzeGoldenText(t *testing.T) {
 }
 
 func TestAnalyzeGoldenJSON(t *testing.T) {
-	out := golden(t, "analyze_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("analyze"), "analyze_200.json", append([]string{"-json"}, fixtureArgs...))
 	var rep struct {
 		Sheets []struct {
 			RuleCounts map[string]int `json:"rule_counts"`
@@ -101,13 +54,13 @@ func TestAnalyzeSvfFile(t *testing.T) {
 	path := filepath.Join(dir, "wb.svf")
 
 	var save, errOut bytes.Buffer
-	if code := runAnalyze(append(fixtureArgs, "-json"), &save, &errOut); code != 0 {
+	if code := subcmd("analyze")(append(fixtureArgs, "-json"), &save, &errOut); code != 0 {
 		t.Fatalf("baseline run failed: %s", errOut.String())
 	}
 	writeFixtureSvf(t, path)
 
 	var out bytes.Buffer
-	if code := runAnalyze([]string{"-json", path}, &out, &errOut); code != 0 {
+	if code := subcmd("analyze")([]string{"-json", path}, &out, &errOut); code != 0 {
 		t.Fatalf("file run failed: %s", errOut.String())
 	}
 	if !bytes.Equal(out.Bytes(), save.Bytes()) {
@@ -117,20 +70,10 @@ func TestAnalyzeSvfFile(t *testing.T) {
 
 func TestAnalyzeBadFile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runAnalyze([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
+	if code := subcmd("analyze")([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
 		t.Errorf("exit = %d, want 1 for a missing file", code)
 	}
 	if errOut.Len() == 0 {
 		t.Error("missing-file failure should print to stderr")
-	}
-}
-
-// writeFormulaOnlySvf saves the weather workbook without the analysis
-// block — the fully sequencable fill-region fixture.
-func writeFormulaOnlySvf(t *testing.T, path string) {
-	t.Helper()
-	wb := workload.Weather(workload.Spec{Rows: 200, Formulas: true})
-	if err := iolib.SaveWorkbook(path, wb); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,115 +1,34 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 
-	"repro/internal/engine"
-	"repro/internal/iolib"
 	"repro/internal/obs"
-	"repro/internal/tracelang"
-	"repro/internal/workload"
 )
 
-// defaultDriftScript exercises every planner gate the drift monitor
-// instruments: a cold full recalculation (recalc-seq plus the lookup,
-// countif, and aggregate serve gates behind the workload's formulas), a
-// pair of shared aggregates so incremental maintenance materializes them,
-// edits inside the aggregated range (delta-maint), and a second
-// recalculation over the now-warm indexes.
+// defaultDriftScript passes planner gates the drift monitor instruments: a
+// cold full recalculation (recalc-seq), a pair of shared
+// aggregates so incremental maintenance materializes them, edits inside
+// the aggregated range (delta-maint), and a second recalculation. On the
+// weather dataset only recalc-seq and delta-maint fire; the lookup gate
+// (lookup-binary) fires on ledger.
 const defaultDriftScript = "recalc; formula R2 =SUM(J2:J101); formula R3 =SUM(J2:J101); " +
 	"set J6 3; set J7 4; set J8 5; recalc"
 
-// runDrift implements the `sheetcli drift` subcommand: it runs a scripted
-// operation sequence under a cost-planned profile with the observability
-// layer on and reports predicted-versus-measured work at every planner
-// gate — the plan-drift monitor's view of whether the cost model is
-// calibrated (aggregate ratio inside [obs.DriftCalibratedMin,
-// obs.DriftCalibratedMax] per gate). Ratios are computed on the simulated
-// clock, so the report is deterministic for a fixed workload and seed.
-//
-// Usage: sheetcli drift [-system planned] [-workload w] [-rows n] [-seed n]
-//
-//	[-script ops] [-json] [-strict] [file.svf]
-func runDrift(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("drift", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	system := fs.String("system", "planned", "system profile; only cost-planned profiles record drift")
-	wname := fs.String("workload", "weather", "generated dataset (ignored with a file argument): one of "+workloadNames())
-	rows := fs.Int("rows", 1000, "rows of the generated dataset (ignored with a file argument)")
-	seed := fs.Uint64("seed", 0, "generator seed; 0 means the default")
-	script := fs.String("script", defaultDriftScript, "semicolon-separated operations to run")
-	jsonOut := fs.Bool("json", false, "emit the report as JSON")
+// driftFlags defines the drift subcommand's own flag. The report is the
+// plan-drift monitor's predicted-versus-measured work at every planner gate
+// the scripted run passed: whether the cost model is calibrated (aggregate
+// ratio inside [obs.DriftCalibratedMin, obs.DriftCalibratedMax] per gate).
+// Ratios are computed on the simulated clock, so the report is
+// deterministic for a fixed workload and seed.
+func driftFlags(fs *flag.FlagSet) builder {
 	strict := fs.Bool("strict", false, "exit 1 when any gate's aggregate ratio leaves the calibrated band")
-	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: sheetcli drift [-system p] [-workload w] [-rows n] [-seed n] [-script ops] [-json] [-strict] [file.svf]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	prof, ok := engine.Profiles()[*system]
-	if !ok {
-		fmt.Fprintf(errOut, "sheetcli: unknown system %q\n", *system)
-		return 2
-	}
-	if !prof.Opt.CostPlanner {
-		fmt.Fprintf(errOut, "sheetcli: profile %q has no cost planner; drift gates never fire (try -system planned)\n", prof.Name)
-		return 2
-	}
-
-	eng := engine.New(prof)
-	if fs.NArg() > 0 {
-		res, err := iolib.LoadWorkbook(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
+	return func(input) (output, error) {
+		rep := obs.DefaultDrift.Report()
+		o := output{doc: rep, text: rep.WriteText}
+		if *strict && !rep.Calibrated() {
+			o.exit = 1
 		}
-		if err := eng.Install(res.Workbook); err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-	} else {
-		gen, ok := workload.ByName(*wname)
-		if !ok {
-			fmt.Fprintf(errOut, "sheetcli: unknown workload %q (have %s)\n", *wname, workloadNames())
-			return 2
-		}
-		wb := gen.Build(workload.Spec{Rows: *rows, Formulas: true, Seed: *seed})
-		if err := eng.Install(wb); err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
+		return o, nil
 	}
-
-	// Observe only the scripted operations, not the fixture install.
-	obs.Reset()
-	obs.DefaultDrift.Reset()
-	obs.SetEnabled(true)
-	scriptErr := tracelang.Run(eng, *script)
-	obs.SetEnabled(false)
-	if scriptErr != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", scriptErr)
-		return 1
-	}
-
-	rep := obs.DefaultDrift.Report()
-	var err error
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-	} else {
-		err = rep.WriteText(out)
-	}
-	if err != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-		return 1
-	}
-	if *strict && !rep.Calibrated() {
-		return 1
-	}
-	return 0
 }

@@ -1,72 +1,13 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
-	"fmt"
 	"io"
 
 	"repro/internal/interfere"
-	"repro/internal/iolib"
 	"repro/internal/regions"
+	"repro/internal/report"
 	"repro/internal/sheet"
-	"repro/internal/workload"
 )
-
-// runInterfere implements the `sheetcli interfere` subcommand: it runs the
-// parallel-safety certification (internal/interfere) over a workbook and
-// reports whether the region set stages into certified parallel phases —
-// and when it does not, which cells block it and why.
-//
-// Usage: sheetcli interfere [-json] [-rows n] [-seed n] [-max n] [file.svf]
-func runInterfere(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("interfere", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	jsonOut := fs.Bool("json", false, "emit the report as JSON")
-	rows := fs.Int("rows", 5000, "rows of the generated weather dataset (ignored with a file argument)")
-	seed := fs.Uint64("seed", 0, "generator seed; 0 means the default")
-	maxList := fs.Int("max", 20, "max regions listed per stage; -1 removes the cap")
-	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: sheetcli interfere [-json] [-rows n] [-seed n] [-max n] [file.svf]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *rows < 0 {
-		fmt.Fprintln(errOut, "sheetcli: -rows must be non-negative")
-		return 2
-	}
-
-	var wb *sheet.Workbook
-	if fs.NArg() > 0 {
-		res, err := iolib.LoadWorkbook(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-		wb = res.Workbook
-	} else {
-		wb = workload.Weather(workload.Spec{
-			Rows: *rows, Formulas: true, Seed: *seed, Analysis: true,
-		})
-	}
-
-	rep := interfereReportFor(wb)
-	var err error
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-	} else {
-		err = rep.writeText(out, *maxList)
-	}
-	if err != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-		return 1
-	}
-	return 0
-}
 
 // stageEntry is one certified stage: its regions may evaluate concurrently.
 type stageEntry struct {
@@ -112,6 +53,10 @@ type interfereReport struct {
 	Certified bool                    `json:"certified"`
 }
 
+// interfereReportFor runs the parallel-safety certification
+// (internal/interfere) over a workbook: whether each sheet's regions stage
+// into certified parallel phases, and when they do not, which cells block
+// it and why.
 func interfereReportFor(wb *sheet.Workbook) *interfereReport {
 	rep := &interfereReport{Certified: true}
 	for _, s := range wb.Sheets() {
@@ -149,67 +94,41 @@ func interfereReportFor(wb *sheet.Workbook) *interfereReport {
 	return rep
 }
 
+// writeText renders the report for terminals: the workbook verdict, then
+// per sheet the certificate summary, each stage's regions (capped at
+// maxList) and every blocker.
 func (rep *interfereReport) writeText(w io.Writer, maxList int) error {
 	verdict := "certified for staged parallel recalculation"
 	if !rep.Certified {
 		verdict = "NOT certified (engine falls back to per-cell leveling)"
 	}
-	if _, err := fmt.Fprintf(w, "workbook: %d sheet(s), %s\n", len(rep.Sheets), verdict); err != nil {
-		return err
-	}
+	l := report.NewLines(w)
+	l.Printf("workbook: %d sheet(s), %s\n", len(rep.Sheets), verdict)
 	for _, sr := range rep.Sheets {
-		if err := sr.writeText(w, maxList); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sr *sheetInterfereReport) writeText(w io.Writer, maxList int) error {
-	_, err := fmt.Fprintf(w, "\nsheet %q: %d formula(s), %d region(s), %d cross edge(s)\n",
-		sr.Sheet, sr.Formulas, sr.Regions, sr.Edges)
-	if err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  certificate: %d stage(s), widest %d, %d blocker(s)\n",
-		sr.Stages, sr.Widest, len(sr.Blockers)); err != nil {
-		return err
-	}
-	for _, st := range sr.StageList {
-		shown := st.Regions
-		if maxList >= 0 && len(shown) > maxList {
-			shown = shown[:maxList]
-		}
-		if _, err := fmt.Fprintf(w, "  stage %d (%d region(s), %d cell(s)):", st.Stage, len(st.Regions), st.Cells); err != nil {
-			return err
-		}
-		for _, r := range shown {
-			if _, err := fmt.Fprintf(w, " %s", r); err != nil {
-				return err
+		l.Printf("\nsheet %q: %d formula(s), %d region(s), %d cross edge(s)\n",
+			sr.Sheet, sr.Formulas, sr.Regions, sr.Edges)
+		l.Printf("  certificate: %d stage(s), widest %d, %d blocker(s)\n", sr.Stages, sr.Widest, len(sr.Blockers))
+		for _, st := range sr.StageList {
+			l.Printf("  stage %d (%d region(s), %d cell(s)):", st.Stage, len(st.Regions), st.Cells)
+			shown, more := report.Head(st.Regions, maxList)
+			for _, r := range shown {
+				l.Printf(" %s", r)
 			}
-		}
-		if dropped := len(st.Regions) - len(shown); dropped > 0 {
-			if _, err := fmt.Fprintf(w, " ... %d more", dropped); err != nil {
-				return err
+			if more > 0 {
+				l.Printf(" ... %d more", more)
 			}
+			l.Println()
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
-	}
-	if len(sr.Blockers) > 0 {
-		if _, err := fmt.Fprintln(w, "  blockers:"); err != nil {
-			return err
+		if len(sr.Blockers) > 0 {
+			l.Println("  blockers:")
 		}
 		for _, b := range sr.Blockers {
 			text := b.Text
 			if len(text) > 40 {
 				text = text[:37] + "..."
 			}
-			if _, err := fmt.Fprintf(w, "    %-6s %-40s %s\n", b.Cell, text, b.Reason); err != nil {
-				return err
-			}
+			l.Printf("    %-6s %-40s %s\n", b.Cell, text, b.Reason)
 		}
 	}
-	return nil
+	return l.Err()
 }

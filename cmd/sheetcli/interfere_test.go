@@ -3,39 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenInterfere runs `sheetcli interfere` with the given flags and
-// compares the output against (or, with -update, rewrites) the named golden
-// file.
-func goldenInterfere(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runInterfere(args, &out, &errOut); code != 0 {
-		t.Fatalf("runInterfere(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
 func TestInterfereGoldenText(t *testing.T) {
-	out := string(goldenInterfere(t, "interfere_200.txt", fixtureArgs))
+	out := string(golden(t, subcmd("interfere"), "interfere_200.txt", fixtureArgs))
 	// The analysis block keeps the fixture uncertified: NOW() is
 	// unanalyzable, S6 reads it, and S9/S10 form a cycle. The seven fill
 	// columns still stage together.
@@ -54,7 +28,7 @@ func TestInterfereGoldenText(t *testing.T) {
 }
 
 func TestInterfereGoldenJSON(t *testing.T) {
-	out := goldenInterfere(t, "interfere_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("interfere"), "interfere_200.json", append([]string{"-json"}, fixtureArgs...))
 	var rep struct {
 		Certified bool `json:"certified"`
 		Sheets    []struct {
@@ -102,8 +76,8 @@ func TestInterfereCertifiedSheet(t *testing.T) {
 	path := filepath.Join(dir, "wb.svf")
 	writeFormulaOnlySvf(t, path)
 	var out, errOut bytes.Buffer
-	if code := runInterfere([]string{"-json", path}, &out, &errOut); code != 0 {
-		t.Fatalf("runInterfere = %d, stderr: %s", code, errOut.String())
+	if code := subcmd("interfere")([]string{"-json", path}, &out, &errOut); code != 0 {
+		t.Fatalf("interfere = %d, stderr: %s", code, errOut.String())
 	}
 	var rep struct {
 		Certified bool `json:"certified"`
@@ -122,7 +96,7 @@ func TestInterfereCertifiedSheet(t *testing.T) {
 
 func TestInterfereBadFile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runInterfere([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
+	if code := subcmd("interfere")([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
 		t.Errorf("exit = %d, want 1 for a missing file", code)
 	}
 	if errOut.Len() == 0 {

@@ -1,74 +1,15 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 	"time"
 
 	"repro/internal/costmodel"
-	"repro/internal/iolib"
 	"repro/internal/plan"
+	"repro/internal/report"
 	"repro/internal/sheet"
-	"repro/internal/workload"
 )
-
-// runPlan implements the `sheetcli plan` subcommand: it derives the
-// cost-based recalculation plan (internal/plan) for a workbook — per-column
-// statistics, priced strategy candidates per operation site, the chosen
-// strategies with predicted steady-state work — and runs the certifier,
-// printing every choice with the alternatives it beat.
-//
-// Usage: sheetcli plan [-json] [-rows n] [-seed n] [-max n] [file.svf]
-func runPlan(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("plan", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	jsonOut := fs.Bool("json", false, "emit the report as JSON")
-	rows := fs.Int("rows", 5000, "rows of the generated weather dataset (ignored with a file argument)")
-	seed := fs.Uint64("seed", 0, "generator seed; 0 means the default")
-	maxList := fs.Int("max", 20, "max choices and statistics listed per sheet; -1 removes the cap")
-	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: sheetcli plan [-json] [-rows n] [-seed n] [-max n] [file.svf]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *rows < 0 {
-		fmt.Fprintln(errOut, "sheetcli: -rows must be non-negative")
-		return 2
-	}
-
-	var wb *sheet.Workbook
-	if fs.NArg() > 0 {
-		res, err := iolib.LoadWorkbook(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-		wb = res.Workbook
-	} else {
-		wb = workload.Weather(workload.Spec{
-			Rows: *rows, Formulas: true, Seed: *seed, Analysis: true,
-		})
-	}
-
-	rep := planReportFor(wb)
-	var err error
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-	} else {
-		err = rep.writeText(out, *maxList)
-	}
-	if err != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-		return 1
-	}
-	return 0
-}
 
 // planPredictedEntry is one sheet's predicted steady-state recalculation
 // work (the meters are excluded from the plan's own JSON form).
@@ -93,6 +34,10 @@ type planReport struct {
 	MainRecalc int64 `json:"main_recalc_cell_touch"`
 }
 
+// planReportFor derives and certifies the cost-based recalculation plan
+// (internal/plan) for a workbook: per-column statistics, the priced
+// strategy at every operation site with the alternatives it beat, and the
+// predicted steady-state work per sheet.
 func planReportFor(wb *sheet.Workbook) *planReport {
 	p := plan.Build(wb, plan.Options{})
 	plan.Certify(p, wb)
@@ -116,6 +61,9 @@ func planReportFor(wb *sheet.Workbook) *planReport {
 	return rep
 }
 
+// writeText renders the report for terminals: the plan and certificate
+// summary, then per sheet its predicted work, column statistics and
+// choices (each list capped at maxList), then any certificate violations.
 func (rep *planReport) writeText(w io.Writer, maxList int) error {
 	cert := rep.Plan.Certificate
 	status := "valid"
@@ -126,88 +74,46 @@ func (rep *planReport) writeText(w io.Writer, maxList int) error {
 	if cert != nil {
 		checked = cert.Checked
 	}
-	if _, err := fmt.Fprintf(w, "plan: %d sheet(s), %d choice(s); certificate %s (%d checks)\n",
-		len(rep.Plan.Sheets), len(rep.Plan.Choices()), status, checked); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "predicted main-sheet recalc: %d cell touch(es)\n", rep.MainRecalc); err != nil {
-		return err
-	}
+	l := report.NewLines(w)
+	l.Printf("plan: %d sheet(s), %d choice(s); certificate %s (%d checks)\n",
+		len(rep.Plan.Sheets), len(rep.Plan.Choices()), status, checked)
+	l.Printf("predicted main-sheet recalc: %d cell touch(es)\n", rep.MainRecalc)
 	for i, sp := range rep.Plan.Sheets {
-		if err := writeSheetPlanText(w, sp, rep.Predicted[i], maxList); err != nil {
-			return err
-		}
+		writeSheetPlanText(l, sp, rep.Predicted[i], maxList)
 	}
 	if cert != nil && len(cert.Violations) > 0 {
-		if _, err := fmt.Fprintln(w, "\nviolations:"); err != nil {
-			return err
-		}
+		l.Println("\nviolations:")
 		for _, v := range cert.Violations {
-			if _, err := fmt.Fprintf(w, "  %s\n", v); err != nil {
-				return err
-			}
+			l.Printf("  %s\n", v)
 		}
 	}
-	return nil
+	return l.Err()
 }
 
-func writeSheetPlanText(w io.Writer, sp *plan.SheetPlan, pred planPredictedEntry, maxList int) error {
-	if _, err := fmt.Fprintf(w, "\nsheet %q: %d rows x %d cols, %d formula(s), %d external, %d region(s)\n",
-		sp.Sheet, sp.Stats.Rows, sp.Stats.Cols, sp.Stats.Formulas, sp.Stats.External, sp.Stats.Regions); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  predicted: %d cell touch(es), %d eval(s), %d external touch(es), sim %v\n",
-		pred.CellTouch, pred.FormulaEval, pred.ExtCellTouch, pred.SimNS); err != nil {
-		return err
-	}
+func writeSheetPlanText(l *report.Lines, sp *plan.SheetPlan, pred planPredictedEntry, maxList int) {
+	l.Printf("\nsheet %q: %d rows x %d cols, %d formula(s), %d external, %d region(s)\n",
+		sp.Sheet, sp.Stats.Rows, sp.Stats.Cols, sp.Stats.Formulas, sp.Stats.External, sp.Stats.Regions)
+	l.Printf("  predicted: %d cell touch(es), %d eval(s), %d external touch(es), sim %v\n",
+		pred.CellTouch, pred.FormulaEval, pred.ExtCellTouch, pred.SimNS)
 	if len(sp.Stats.Columns) > 0 {
-		if _, err := fmt.Fprintln(w, "  statistics:"); err != nil {
-			return err
-		}
-		shown := sp.Stats.Columns
-		if maxList >= 0 && len(shown) > maxList {
-			shown = shown[:maxList]
-		}
-		for _, cs := range shown {
-			if _, err := fmt.Fprintf(w, "    col %-3d rows=%-7d nonempty=%-7d numeric=%-7d distinct≈%-6d sampled=%d\n",
-				cs.Col, cs.Rows, cs.NonEmpty, cs.Numeric, cs.Distinct, cs.Sampled); err != nil {
-				return err
-			}
-		}
-		if dropped := len(sp.Stats.Columns) - len(shown); dropped > 0 {
-			if _, err := fmt.Fprintf(w, "    ... %d more not shown\n", dropped); err != nil {
-				return err
-			}
-		}
+		l.Println("  statistics:")
 	}
-	if len(sp.Choices) == 0 {
-		return nil
+	report.List(l, sp.Stats.Columns, maxList, func(cs plan.ColumnStats) {
+		l.Printf("    col %-3d rows=%-7d nonempty=%-7d numeric=%-7d distinct≈%-6d sampled=%d\n",
+			cs.Col, cs.Rows, cs.NonEmpty, cs.Numeric, cs.Distinct, cs.Sampled)
+	})
+	if len(sp.Choices) > 0 {
+		l.Println("  choices:")
 	}
-	if _, err := fmt.Fprintln(w, "  choices:"); err != nil {
-		return err
-	}
-	shown := sp.Choices
-	if maxList >= 0 && len(shown) > maxList {
-		shown = shown[:maxList]
-	}
-	for _, c := range shown {
+	report.List(l, sp.Choices, maxList, func(c *plan.Choice) {
 		line := fmt.Sprintf("    %-11s %-8s -> %-17s", c.Kind, c.Fn, string(c.Chosen))
 		if alt, ok := c.Alternative(); ok {
 			if chosen, okc := chosenSim(c); okc && chosen > 0 {
 				line += fmt.Sprintf(" (vs %s %.2fx)", alt.Strategy, float64(alt.Sim)/float64(chosen))
 			}
 		}
-		line += "  " + c.Basis
-		if _, err := fmt.Fprintln(w, line); err != nil {
-			return err
-		}
-	}
-	if dropped := len(sp.Choices) - len(shown); dropped > 0 {
-		if _, err := fmt.Fprintf(w, "    ... %d more not shown\n", dropped); err != nil {
-			return err
-		}
-	}
-	return nil
+		l.Println(line + "  " + c.Basis)
+	})
 }
 
 // chosenSim returns the chosen candidate's simulated cost.

@@ -3,38 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenPlan runs `sheetcli plan` with the given flags and compares the
-// output against (or, with -update, rewrites) the named golden file.
-func goldenPlan(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runPlan(args, &out, &errOut); code != 0 {
-		t.Fatalf("runPlan(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
 func TestPlanGoldenText(t *testing.T) {
-	out := string(goldenPlan(t, "plan_200.txt", fixtureArgs))
+	out := string(golden(t, subcmd("plan"), "plan_200.txt", fixtureArgs))
 	// The weather fixture's analysis block contributes the COUNTIF site; the
 	// report must show the certificate verdict, the collected statistics, and
 	// at least one priced choice with its basis.
@@ -52,7 +26,7 @@ func TestPlanGoldenText(t *testing.T) {
 }
 
 func TestPlanGoldenJSON(t *testing.T) {
-	out := goldenPlan(t, "plan_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("plan"), "plan_200.json", append([]string{"-json"}, fixtureArgs...))
 	var rep struct {
 		Plan struct {
 			Sheets []struct {
@@ -117,7 +91,7 @@ func TestPlanGoldenJSON(t *testing.T) {
 
 func TestPlanBadFile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runPlan([]string{"testdata/does-not-exist.svf"}, &out, &errOut); code != 1 {
+	if code := subcmd("plan")([]string{"testdata/does-not-exist.svf"}, &out, &errOut); code != 1 {
 		t.Fatalf("code = %d", code)
 	}
 	if errOut.Len() == 0 {

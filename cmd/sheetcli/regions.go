@@ -1,74 +1,15 @@
 package main
 
 import (
-	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
 
 	"repro/internal/absint"
 	"repro/internal/cell"
-	"repro/internal/iolib"
 	"repro/internal/regions"
+	"repro/internal/report"
 	"repro/internal/sheet"
-	"repro/internal/workload"
 )
-
-// runRegions implements the `sheetcli regions` subcommand: it runs the
-// fill-region inference (internal/regions) over a workbook and reports how
-// far the formula set compresses — region and class counts, the region
-// dependency graph's size and sequencability, and the irregular outlier
-// cells that resist compression.
-//
-// Usage: sheetcli regions [-json] [-rows n] [-seed n] [-max n] [file.svf]
-func runRegions(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("regions", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	jsonOut := fs.Bool("json", false, "emit the report as JSON")
-	rows := fs.Int("rows", 5000, "rows of the generated weather dataset (ignored with a file argument)")
-	seed := fs.Uint64("seed", 0, "generator seed; 0 means the default")
-	maxList := fs.Int("max", 20, "max regions and outliers listed per sheet; -1 removes the cap")
-	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: sheetcli regions [-json] [-rows n] [-seed n] [-max n] [file.svf]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *rows < 0 {
-		fmt.Fprintln(errOut, "sheetcli: -rows must be non-negative")
-		return 2
-	}
-
-	var wb *sheet.Workbook
-	if fs.NArg() > 0 {
-		res, err := iolib.LoadWorkbook(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-		wb = res.Workbook
-	} else {
-		wb = workload.Weather(workload.Spec{
-			Rows: *rows, Formulas: true, Seed: *seed, Analysis: true,
-		})
-	}
-
-	rep := regionsReportFor(wb)
-	var err error
-	if *jsonOut {
-		enc := json.NewEncoder(out)
-		enc.SetIndent("", "  ")
-		err = enc.Encode(rep)
-	} else {
-		err = rep.writeText(out, *maxList)
-	}
-	if err != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-		return 1
-	}
-	return 0
-}
 
 // regionEntry is one inferred region in the report.
 type regionEntry struct {
@@ -120,6 +61,10 @@ type regionsReport struct {
 	Regions  int                   `json:"regions"`
 }
 
+// regionsReportFor runs the fill-region inference (internal/regions) over
+// a workbook: how far each sheet's formula set compresses, the region
+// dependency graph's size and sequencability, and the irregular outlier
+// cells that resist compression.
 func regionsReportFor(wb *sheet.Workbook) *regionsReport {
 	rep := &regionsReport{}
 	for _, s := range wb.Sheets() {
@@ -187,59 +132,39 @@ func sortStable(entries []regionEntry) {
 	}
 }
 
+// writeText renders the report for terminals: a workbook summary line, then
+// per sheet its graph and value-certificate summary, the regions largest
+// first and the outliers, each list capped at maxList entries.
 func (rep *regionsReport) writeText(w io.Writer, maxList int) error {
 	ratio := 1.0
 	if rep.Regions > 0 {
 		ratio = float64(rep.Formulas) / float64(rep.Regions)
 	}
-	if _, err := fmt.Fprintf(w, "workbook: %d sheet(s), %d formula(s), %d region(s), compression %.1fx\n",
-		len(rep.Sheets), rep.Formulas, rep.Regions, ratio); err != nil {
-		return err
-	}
+	l := report.NewLines(w)
+	l.Printf("workbook: %d sheet(s), %d formula(s), %d region(s), compression %.1fx\n",
+		len(rep.Sheets), rep.Formulas, rep.Regions, ratio)
 	for _, sr := range rep.Sheets {
-		if err := sr.writeText(w, maxList); err != nil {
-			return err
+		l.Printf("\nsheet %q: %d formula(s), %d region(s), %d class(es), compression %.1fx\n",
+			sr.Sheet, sr.Formulas, sr.Regions, sr.Classes, sr.CompressionRatio)
+		seq := "sequencable"
+		if !sr.Sequencable {
+			seq = "NOT sequencable (engine falls back to the per-cell graph)"
 		}
+		l.Printf("  graph: %d interval edge(s), %d cross edge(s), %s\n", sr.IntervalEdges, sr.CrossEdges, seq)
+		l.Printf("  value certs: %d error-free region(s), %d certified constant cell(s)\n",
+			sr.ErrorFreeRegions, sr.ConstCells)
+		writeEntries(l, "regions", sr.RegionList, maxList)
+		writeEntries(l, "outliers", sr.Outliers, maxList)
 	}
-	return nil
+	return l.Err()
 }
 
-func (sr *sheetRegionsReport) writeText(w io.Writer, maxList int) error {
-	_, err := fmt.Fprintf(w, "\nsheet %q: %d formula(s), %d region(s), %d class(es), compression %.1fx\n",
-		sr.Sheet, sr.Formulas, sr.Regions, sr.Classes, sr.CompressionRatio)
-	if err != nil {
-		return err
-	}
-	seq := "sequencable"
-	if !sr.Sequencable {
-		seq = "NOT sequencable (engine falls back to the per-cell graph)"
-	}
-	if _, err := fmt.Fprintf(w, "  graph: %d interval edge(s), %d cross edge(s), %s\n",
-		sr.IntervalEdges, sr.CrossEdges, seq); err != nil {
-		return err
-	}
-	if _, err := fmt.Fprintf(w, "  value certs: %d error-free region(s), %d certified constant cell(s)\n",
-		sr.ErrorFreeRegions, sr.ConstCells); err != nil {
-		return err
-	}
-	if err := writeEntries(w, "regions", sr.RegionList, maxList); err != nil {
-		return err
-	}
-	return writeEntries(w, "outliers", sr.Outliers, maxList)
-}
-
-func writeEntries(w io.Writer, label string, entries []regionEntry, maxList int) error {
+func writeEntries(l *report.Lines, label string, entries []regionEntry, maxList int) {
 	if len(entries) == 0 {
-		return nil
+		return
 	}
-	if _, err := fmt.Fprintf(w, "  %s:\n", label); err != nil {
-		return err
-	}
-	shown := entries
-	if maxList >= 0 && len(shown) > maxList {
-		shown = shown[:maxList]
-	}
-	for _, en := range shown {
+	l.Printf("  %s:\n", label)
+	report.List(l, entries, maxList, func(en regionEntry) {
 		text := en.Text
 		if len(text) > 60 {
 			text = text[:57] + "..."
@@ -251,15 +176,6 @@ func writeEntries(w io.Writer, label string, entries []regionEntry, maxList int)
 		if en.Consts > 0 {
 			flags += fmt.Sprintf("  const(%d)", en.Consts)
 		}
-		if _, err := fmt.Fprintf(w, "    %-12s %6d cell(s)  class %-3d %s%s\n",
-			en.Range, en.Cells, en.Class, text, flags); err != nil {
-			return err
-		}
-	}
-	if dropped := len(entries) - len(shown); dropped > 0 {
-		if _, err := fmt.Fprintf(w, "    ... %d more not shown\n", dropped); err != nil {
-			return err
-		}
-	}
-	return nil
+		l.Printf("    %-12s %6d cell(s)  class %-3d %s%s\n", en.Range, en.Cells, en.Class, text, flags)
+	})
 }

@@ -3,38 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenRegions runs `sheetcli regions` with the given flags and compares
-// the output against (or, with -update, rewrites) the named golden file.
-func goldenRegions(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runRegions(args, &out, &errOut); code != 0 {
-		t.Fatalf("runRegions(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
 func TestRegionsGoldenText(t *testing.T) {
-	out := string(goldenRegions(t, "regions_200.txt", fixtureArgs))
+	out := string(golden(t, subcmd("regions"), "regions_200.txt", fixtureArgs))
 	// The seven COUNTIF fill columns compress to one region each; the
 	// analysis block's cycle makes the sheet unsequencable, which the
 	// report must say out loud.
@@ -51,7 +26,7 @@ func TestRegionsGoldenText(t *testing.T) {
 }
 
 func TestRegionsGoldenJSON(t *testing.T) {
-	out := goldenRegions(t, "regions_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("regions"), "regions_200.json", append([]string{"-json"}, fixtureArgs...))
 	var rep struct {
 		Sheets []struct {
 			Formulas         int     `json:"formulas"`
@@ -98,8 +73,8 @@ func TestRegionsSequencableSheet(t *testing.T) {
 	path := filepath.Join(dir, "wb.svf")
 	writeFormulaOnlySvf(t, path)
 	var out, errOut bytes.Buffer
-	if code := runRegions([]string{"-json", path}, &out, &errOut); code != 0 {
-		t.Fatalf("runRegions = %d, stderr: %s", code, errOut.String())
+	if code := subcmd("regions")([]string{"-json", path}, &out, &errOut); code != 0 {
+		t.Fatalf("regions = %d, stderr: %s", code, errOut.String())
 	}
 	var rep struct {
 		Sheets []struct {
@@ -117,7 +92,7 @@ func TestRegionsSequencableSheet(t *testing.T) {
 
 func TestRegionsBadFile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runRegions([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
+	if code := subcmd("regions")([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
 		t.Errorf("exit = %d, want 1 for a missing file", code)
 	}
 	if errOut.Len() == 0 {

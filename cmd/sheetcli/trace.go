@@ -2,17 +2,13 @@ package main
 
 import (
 	"bufio"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"strings"
 
-	"repro/internal/engine"
-	"repro/internal/iolib"
 	"repro/internal/obs"
-	"repro/internal/tracelang"
 	"repro/internal/workload"
 )
 
@@ -21,97 +17,30 @@ import (
 // find-replace, and a forced full recalculation.
 const defaultTraceScript = "sort B; filter B TX; set J6 3; formula R2 =SUM(J2:J101); find TX XT; recalc"
 
-// runTrace implements the `sheetcli trace` subcommand: it runs a scripted
-// operation sequence against one system profile with the observability layer
-// on, then renders the span tree and the 500 ms interactivity SLO verdicts.
+// traceFlags defines the trace subcommand's own flags. The report is the
+// span tree of the scripted run and its 500 ms interactivity SLO verdicts.
 // Verdicts are judged on the simulated clock each op span carries
 // (obs.SimAttr), so the output is deterministic for a fixed workload; wall
-// durations appear only with -wall. The script language is
-// internal/tracelang; -workload picks any registered dataset generator.
-//
-// Usage: sheetcli trace [-system excel] [-workload w] [-rows n] [-seed n]
-//
-//	[-script ops] [-json] [-wall] [-max n] [-out trace.json] [file.svf]
-func runTrace(args []string, out, errOut io.Writer) int {
-	fs := flag.NewFlagSet("trace", flag.ContinueOnError)
-	fs.SetOutput(errOut)
-	system := fs.String("system", "excel", "system profile to trace")
-	wname := fs.String("workload", "weather", "generated dataset (ignored with a file argument): one of "+workloadNames())
-	rows := fs.Int("rows", 1000, "rows of the generated dataset (ignored with a file argument)")
-	seed := fs.Uint64("seed", 0, "generator seed; 0 means the default")
-	script := fs.String("script", defaultTraceScript, "semicolon-separated operations to trace")
-	jsonOut := fs.Bool("json", false, "emit the report as JSON")
+// durations appear only with -wall.
+func traceFlags(fs *flag.FlagSet) builder {
 	wall := fs.Bool("wall", false, "include wall-clock durations in the span tree (non-deterministic)")
 	maxSpans := fs.Int("max", 200, "max spans rendered in the tree; 0 removes the cap")
 	chromeOut := fs.String("out", "", "also write the trace as Chrome trace-event JSON to this path")
-	fs.Usage = func() {
-		fmt.Fprintln(errOut, "usage: sheetcli trace [-system p] [-workload w] [-rows n] [-seed n] [-script ops] [-json] [-wall] [-max n] [-out f] [file.svf]")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	prof, ok := engine.Profiles()[*system]
-	if !ok {
-		fmt.Fprintf(errOut, "sheetcli: unknown system %q\n", *system)
-		return 2
-	}
-
-	eng := engine.New(prof)
-	if fs.NArg() > 0 {
-		res, err := iolib.LoadWorkbook(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
+	return func(in input) (output, error) {
+		if *chromeOut != "" {
+			if err := writeChromeFile(*chromeOut, in.trace); err != nil {
+				return output{}, err
+			}
+			fmt.Fprintf(in.errOut, "wrote %s\n", *chromeOut)
 		}
-		if err := eng.Install(res.Workbook); err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-	} else {
-		gen, ok := workload.ByName(*wname)
-		if !ok {
-			fmt.Fprintf(errOut, "sheetcli: unknown workload %q (have %s)\n", *wname, workloadNames())
-			return 2
-		}
-		wb := gen.Build(workload.Spec{Rows: *rows, Formulas: true, Seed: *seed})
-		if err := eng.Install(wb); err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
+		rep := obs.CheckTrace(in.trace, obs.DefaultSLOBound)
+		return output{
+			doc: traceDoc(in.system, in.trace, rep),
+			text: func(w io.Writer) error {
+				return writeTraceText(w, in.trace, rep, obs.TreeOptions{Durations: *wall, MaxSpans: *maxSpans})
+			},
+		}, nil
 	}
-
-	// Trace only the scripted operations, not the fixture install.
-	obs.Reset()
-	obs.SetEnabled(true)
-	scriptErr := tracelang.Run(eng, *script)
-	obs.SetEnabled(false)
-	tr := obs.Take()
-	if scriptErr != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", scriptErr)
-		return 1
-	}
-
-	if *chromeOut != "" {
-		if err := writeChromeFile(*chromeOut, tr); err != nil {
-			fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(errOut, "wrote %s\n", *chromeOut)
-	}
-
-	rep := obs.CheckTrace(tr, obs.DefaultSLOBound)
-	var err error
-	if *jsonOut {
-		err = writeTraceJSON(out, *system, tr, rep)
-	} else {
-		err = writeTraceText(out, tr, rep, obs.TreeOptions{Durations: *wall, MaxSpans: *maxSpans})
-	}
-	if err != nil {
-		fmt.Fprintf(errOut, "sheetcli: %v\n", err)
-		return 1
-	}
-	return 0
 }
 
 // writeChromeFile saves the trace as Chrome trace-event JSON, surfacing
@@ -178,7 +107,9 @@ func spanToJSON(sp *obs.TraceSpan) *traceSpanJSON {
 	return out
 }
 
-func writeTraceJSON(w io.Writer, system string, tr *obs.Trace, rep obs.SLOReport) error {
+// traceDoc is the JSON report: the profile, the SLO verdicts and the span
+// trees.
+func traceDoc(system string, tr *obs.Trace, rep obs.SLOReport) any {
 	doc := struct {
 		System string           `json:"system"`
 		Spans  int              `json:"spans"`
@@ -188,7 +119,5 @@ func writeTraceJSON(w io.Writer, system string, tr *obs.Trace, rep obs.SLOReport
 	for _, r := range tr.Roots {
 		doc.Roots = append(doc.Roots, spanToJSON(r))
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return doc
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,35 +14,8 @@ import (
 	"repro/internal/workload"
 )
 
-// goldenTrace runs `sheetcli trace` with the given flags and compares the
-// output against (or, with -update, rewrites) the named golden file. The
-// default text and JSON reports carry no wall-clock durations — verdicts and
-// span attributes come from the simulated clock — so byte-exact goldens are
-// stable across machines.
-func goldenTrace(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runTrace(args, &out, &errOut); code != 0 {
-		t.Fatalf("runTrace(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
 func TestTraceGoldenText(t *testing.T) {
-	out := string(goldenTrace(t, "trace_200.txt", fixtureArgs))
+	out := string(golden(t, subcmd("trace"), "trace_200.txt", fixtureArgs))
 	// The default script covers every traced op class; each op root span
 	// must appear with its simulated latency, and the SLO section must
 	// judge all of them against the 500 ms bound.
@@ -63,7 +37,7 @@ func TestTraceGoldenText(t *testing.T) {
 }
 
 func TestTraceGoldenJSON(t *testing.T) {
-	out := goldenTrace(t, "trace_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("trace"), "trace_200.json", append([]string{"-json"}, fixtureArgs...))
 	var rep struct {
 		System string `json:"system"`
 		Spans  int    `json:"spans"`
@@ -109,8 +83,8 @@ func TestTraceChromeOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	var out, errOut bytes.Buffer
 	args := append([]string{"-out", path}, fixtureArgs...)
-	if code := runTrace(args, &out, &errOut); code != 0 {
-		t.Fatalf("runTrace = %d, stderr: %s", code, errOut.String())
+	if code := subcmd("trace")(args, &out, &errOut); code != 0 {
+		t.Fatalf("trace = %d, stderr: %s", code, errOut.String())
 	}
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -129,11 +103,11 @@ func TestTraceChromeOut(t *testing.T) {
 
 func TestTraceErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runTrace([]string{"-system", "lotus123"}, &out, &errOut); code != 2 {
+	if code := subcmd("trace")([]string{"-system", "lotus123"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown system: exit = %d, want 2", code)
 	}
 	errOut.Reset()
-	if code := runTrace([]string{"-script", "frobnicate A1"}, &out, &errOut); code != 1 {
+	if code := subcmd("trace")([]string{"-script", "frobnicate A1"}, &out, &errOut); code != 1 {
 		t.Errorf("bad script: exit = %d, want 1", code)
 	}
 	if !strings.Contains(errOut.String(), "statement 1") ||
@@ -141,11 +115,18 @@ func TestTraceErrors(t *testing.T) {
 		t.Errorf("bad-script error not positioned: %q", errOut.String())
 	}
 	errOut.Reset()
-	if code := runTrace([]string{"-workload", "abacus"}, &out, &errOut); code != 2 {
+	if code := subcmd("trace")([]string{"-workload", "abacus"}, &out, &errOut); code != 2 {
 		t.Errorf("unknown workload: exit = %d, want 2", code)
 	}
 	if !strings.Contains(errOut.String(), "abacus") {
 		t.Errorf("unknown-workload error not surfaced: %q", errOut.String())
+	}
+	errOut.Reset()
+	if code := subcmd("trace")([]string{"-rows", "-5"}, &out, &errOut); code != 2 {
+		t.Errorf("negative rows: exit = %d, want 2", code)
+	}
+	if !strings.Contains(errOut.String(), "-rows must be non-negative") {
+		t.Errorf("negative-rows error not surfaced: %q", errOut.String())
 	}
 	if obs.Enabled() {
 		t.Error("tracing must be off again after a failed run")
@@ -163,13 +144,13 @@ func TestREPLTraceToggle(t *testing.T) {
 	if err := eng.Install(workload.Weather(workload.Spec{Rows: 200, Formulas: true})); err != nil {
 		t.Fatal(err)
 	}
-	if !dispatch(eng, "trace on") || !obs.Enabled() {
+	if !dispatch(io.Discard, eng, "trace on") || !obs.Enabled() {
 		t.Fatal("trace on did not enable the gate")
 	}
-	if !dispatch(eng, "sort B") {
+	if !dispatch(io.Discard, eng, "sort B") {
 		t.Fatal("sort failed under tracing")
 	}
-	if !dispatch(eng, ":trace off") || obs.Enabled() {
+	if !dispatch(io.Discard, eng, ":trace off") || obs.Enabled() {
 		t.Fatal(":trace off did not disable the gate")
 	}
 	tr := obs.Take()

@@ -3,39 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// goldenTypecheck runs `sheetcli typecheck` with the given flags and
-// compares the output against (or, with -update, rewrites) the named
-// golden file.
-func goldenTypecheck(t *testing.T, name string, args []string) []byte {
-	t.Helper()
-	var out, errOut bytes.Buffer
-	if code := runTypecheck(args, &out, &errOut); code != 0 {
-		t.Fatalf("runTypecheck(%v) = %d, stderr: %s", args, code, errOut.String())
-	}
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("read golden (run `go test ./cmd/sheetcli -run Golden -update` to create): %v", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("output differs from %s:\n--- got ---\n%s\n--- want ---\n%s", path, out.Bytes(), want)
-	}
-	return out.Bytes()
-}
-
 func TestTypecheckGoldenText(t *testing.T) {
-	out := string(goldenTypecheck(t, "typecheck_200.txt", fixtureArgs))
+	out := string(golden(t, subcmd("typecheck"), "typecheck_200.txt", fixtureArgs))
 	// The acceptance bar: numeric certificates on the data columns, the
 	// DIV0-possible summary formulas, and the pinned cycle cells.
 	for _, want := range []string{
@@ -52,7 +26,7 @@ func TestTypecheckGoldenText(t *testing.T) {
 }
 
 func TestTypecheckGoldenJSON(t *testing.T) {
-	out := goldenTypecheck(t, "typecheck_200.json", append([]string{"-json"}, fixtureArgs...))
+	out := golden(t, subcmd("typecheck"), "typecheck_200.json", append([]string{"-json"}, fixtureArgs...))
 	var res struct {
 		Sheets []struct {
 			Columns []struct {
@@ -90,13 +64,13 @@ func TestTypecheckSvfFile(t *testing.T) {
 	path := filepath.Join(dir, "wb.svf")
 
 	var save, errOut bytes.Buffer
-	if code := runTypecheck(append(fixtureArgs, "-json"), &save, &errOut); code != 0 {
+	if code := subcmd("typecheck")(append(fixtureArgs, "-json"), &save, &errOut); code != 0 {
 		t.Fatalf("baseline run failed: %s", errOut.String())
 	}
 	writeFixtureSvf(t, path)
 
 	var out bytes.Buffer
-	if code := runTypecheck([]string{"-json", path}, &out, &errOut); code != 0 {
+	if code := subcmd("typecheck")([]string{"-json", path}, &out, &errOut); code != 0 {
 		t.Fatalf("file run failed: %s", errOut.String())
 	}
 	if !bytes.Equal(out.Bytes(), save.Bytes()) {
@@ -106,7 +80,7 @@ func TestTypecheckSvfFile(t *testing.T) {
 
 func TestTypecheckBadFile(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := runTypecheck([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
+	if code := subcmd("typecheck")([]string{filepath.Join(t.TempDir(), "missing.svf")}, &out, &errOut); code != 1 {
 		t.Errorf("exit = %d, want 1 for a missing file", code)
 	}
 	if errOut.Len() == 0 {

@@ -1,11 +1,11 @@
 package absint
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"repro/internal/cell"
+	"repro/internal/report"
 	"repro/internal/sheet"
 	"repro/internal/typecheck"
 )
@@ -184,64 +184,39 @@ func cellFact(st site, ab typecheck.Abstract) CellFact {
 	}
 }
 
-// WriteJSON renders the result as indented JSON.
-func (r *TypeReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
 // WriteText renders the result for terminals: a workbook summary line,
 // then per sheet the column table, the error-possible listing, and the
 // disagreement listing.
 func (r *TypeReport) WriteText(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "workbook: %d sheet(s), %d formula(s), %d error-possible cell(s), %d disagreement(s)\n",
+	l := report.NewLines(w)
+	l.Printf("workbook: %d sheet(s), %d formula(s), %d error-possible cell(s), %d disagreement(s)\n",
 		len(r.Sheets), r.Formulas, r.ErrorCells, r.Disagreements)
-	if err != nil {
-		return err
-	}
 	for _, sr := range r.Sheets {
-		if err := sr.writeText(w); err != nil {
-			return err
+		l.Printf("\nsheet %q: %d column(s), %d formula(s)\n", sr.Sheet, len(sr.Columns), sr.Formulas)
+		for _, cs := range sr.Columns {
+			t := cs.Kinds
+			if cs.Errs != "" {
+				t += " errs=" + cs.Errs
+			}
+			cert := ""
+			if cs.Numeric {
+				cert = "  [numeric]"
+			}
+			l.Printf("  %-3s %-10s %-28s cells=%d formulas=%d%s\n",
+				cs.Name, cs.Header, t, cs.Cells, cs.Formulas, cert)
 		}
+		writeFacts(l, "error-possible cells", sr.ErrorCells, sr.ErrorCellCount)
+		writeFacts(l, "disagreements", sr.Disagreements, sr.DisagreementCount)
 	}
-	return nil
+	return l.Err()
 }
 
-func (sr *SheetTypeReport) writeText(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "\nsheet %q: %d column(s), %d formula(s)\n",
-		sr.Sheet, len(sr.Columns), sr.Formulas)
-	if err != nil {
-		return err
-	}
-	for _, cs := range sr.Columns {
-		t := cs.Kinds
-		if cs.Errs != "" {
-			t += " errs=" + cs.Errs
-		}
-		cert := ""
-		if cs.Numeric {
-			cert = "  [numeric]"
-		}
-		if _, err := fmt.Fprintf(w, "  %-3s %-10s %-28s cells=%d formulas=%d%s\n",
-			cs.Name, cs.Header, t, cs.Cells, cs.Formulas, cert); err != nil {
-			return err
-		}
-	}
-	if err := writeFacts(w, "error-possible cells", sr.ErrorCells, sr.ErrorCellCount); err != nil {
-		return err
-	}
-	return writeFacts(w, "disagreements", sr.Disagreements, sr.DisagreementCount)
-}
-
-func writeFacts(w io.Writer, title string, facts []CellFact, total int) error {
+func writeFacts(l *report.Lines, title string, facts []CellFact, total int) {
 	if total == 0 {
-		_, err := fmt.Fprintf(w, "  %s: none\n", title)
-		return err
+		l.Printf("  %s: none\n", title)
+		return
 	}
-	if _, err := fmt.Fprintf(w, "  %s (%d):\n", title, total); err != nil {
-		return err
-	}
+	l.Printf("  %s (%d):\n", title, total)
 	for _, f := range facts {
 		detail := f.Errs
 		if f.Stored != "" {
@@ -250,14 +225,9 @@ func writeFacts(w io.Writer, title string, facts []CellFact, total int) error {
 				detail = fmt.Sprintf("inferred %s errs=%s, stored %s", f.Kinds, f.Errs, f.Stored)
 			}
 		}
-		if _, err := fmt.Fprintf(w, "    %-5s %-20s %s\n", f.Cell, detail, f.Formula); err != nil {
-			return err
-		}
+		l.Printf("    %-5s %-20s %s\n", f.Cell, detail, f.Formula)
 	}
 	if total > len(facts) {
-		if _, err := fmt.Fprintf(w, "    ... %d more\n", total-len(facts)); err != nil {
-			return err
-		}
+		l.Printf("    ... %d more\n", total-len(facts))
 	}
-	return nil
 }

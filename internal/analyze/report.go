@@ -1,70 +1,41 @@
 package analyze
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-)
 
-// WriteJSON renders the report as indented JSON.
-func (r *Report) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
+	"repro/internal/report"
+)
 
 // WriteText renders the report for terminals: a workbook summary line, then
 // per sheet a header, the rule tally, and the findings most-severe-first.
 func (r *Report) WriteText(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "workbook: %d sheet(s), %d formula(s), %d finding(s), est recalc ops %d\n",
+	l := report.NewLines(w)
+	l.Printf("workbook: %d sheet(s), %d formula(s), %d finding(s), est recalc ops %d\n",
 		len(r.Sheets), r.Formulas, r.Findings, r.EstRecalcOps)
-	if err != nil {
-		return err
-	}
 	for _, sr := range r.Sheets {
-		if err := sr.writeText(w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (sr *SheetReport) writeText(w io.Writer) error {
-	_, err := fmt.Fprintf(w, "\nsheet %q: %d formula(s), %d region(s) (%.1fx), est recalc ops %d, est eval cells %d\n",
-		sr.Sheet, sr.Formulas, sr.Regions, sr.CompressionRatio, sr.EstRecalcOps, sr.EstEvalCells)
-	if err != nil {
-		return err
-	}
-	if len(sr.RuleCounts) > 0 {
-		rules := make([]string, 0, len(sr.RuleCounts))
-		for rule := range sr.RuleCounts {
-			rules = append(rules, rule)
-		}
-		sort.Strings(rules)
-		if _, err := fmt.Fprintf(w, "  rules:"); err != nil {
-			return err
-		}
-		for _, rule := range rules {
-			if _, err := fmt.Fprintf(w, " %s=%d", rule, sr.RuleCounts[rule]); err != nil {
-				return err
+		l.Printf("\nsheet %q: %d formula(s), %d region(s) (%.1fx), est recalc ops %d, est eval cells %d\n",
+			sr.Sheet, sr.Formulas, sr.Regions, sr.CompressionRatio, sr.EstRecalcOps, sr.EstEvalCells)
+		if len(sr.RuleCounts) > 0 {
+			rules := make([]string, 0, len(sr.RuleCounts))
+			for rule := range sr.RuleCounts {
+				rules = append(rules, rule)
 			}
+			sort.Strings(rules)
+			l.Printf("  rules:")
+			for _, rule := range rules {
+				l.Printf(" %s=%d", rule, sr.RuleCounts[rule])
+			}
+			l.Println()
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
+		for _, f := range sr.Findings {
+			l.Printf("  %-4s %-15s %-5s %s\n", f.Severity, f.Rule, f.Cell, f.Message)
+		}
+		if dropped := sr.droppedFindings(); dropped > 0 {
+			l.Printf("  ... %d finding(s) beyond the per-rule cap not shown\n", dropped)
 		}
 	}
-	for _, f := range sr.Findings {
-		if _, err := fmt.Fprintf(w, "  %-4s %-15s %-5s %s\n", f.Severity, f.Rule, f.Cell, f.Message); err != nil {
-			return err
-		}
-	}
-	if dropped := sr.droppedFindings(); dropped > 0 {
-		if _, err := fmt.Fprintf(w, "  ... %d finding(s) beyond the per-rule cap not shown\n", dropped); err != nil {
-			return err
-		}
-	}
-	return nil
+	return l.Err()
 }
 
 // droppedFindings is how many findings the per-rule cap suppressed.

@@ -1,6 +1,7 @@
 // Package report renders benchmark results as aligned ASCII tables and CSV
 // series, mirroring the figures and tables of the paper so a run's output
-// can be compared against the publication side by side.
+// can be compared against the publication side by side. Its line writer
+// (Lines, List) also backs the text form of the static-analysis reports.
 package report
 
 import (
@@ -64,13 +65,10 @@ func FormatSize(n int) string {
 // WriteFigure renders a figure: one row per x-value, one column per series,
 // simulated latencies. A title and optional note lines precede the table.
 func WriteFigure(w io.Writer, title string, series []Series, notes ...string) error {
-	if _, err := fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title))); err != nil {
-		return err
-	}
+	l := NewLines(w)
+	l.Printf("%s\n%s\n", title, strings.Repeat("=", len(title)))
 	for _, n := range notes {
-		if _, err := fmt.Fprintf(w, "# %s\n", n); err != nil {
-			return err
-		}
+		l.Printf("# %s\n", n)
 	}
 
 	sizes := unionSizes(series)
@@ -90,29 +88,24 @@ func WriteFigure(w io.Writer, title string, series []Series, notes ...string) er
 		}
 		rows = append(rows, row)
 	}
-	if err := writeAligned(w, header, rows); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
+	writeAligned(l, header, rows)
+	l.Println()
+	return l.Err()
 }
 
 // WriteCSV emits the series as tidy CSV (label,size,sim_ns,wall_ns,std_ns)
 // for external plotting. Write errors are returned, not dropped: result
 // files land on real disks that fill up.
 func WriteCSV(w io.Writer, series []Series) error {
-	if _, err := fmt.Fprintln(w, "series,rows,sim_ns,wall_ns,std_ns"); err != nil {
-		return err
-	}
+	l := NewLines(w)
+	l.Println("series,rows,sim_ns,wall_ns,std_ns")
 	for _, s := range series {
 		for _, p := range s.Sorted() {
-			if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d\n",
-				s.Label, p.Size, p.Sim.Nanoseconds(), p.Wall.Nanoseconds(), p.StdDev.Nanoseconds()); err != nil {
-				return err
-			}
+			l.Printf("%s,%d,%d,%d,%d\n",
+				s.Label, p.Size, p.Sim.Nanoseconds(), p.Wall.Nanoseconds(), p.StdDev.Nanoseconds())
 		}
 	}
-	return nil
+	return l.Err()
 }
 
 func labels(series []Series) []string {
@@ -139,7 +132,7 @@ func unionSizes(series []Series) []int {
 }
 
 // writeAligned prints a header and rows with column alignment.
-func writeAligned(w io.Writer, header []string, rows [][]string) error {
+func writeAligned(l *Lines, header []string, rows [][]string) {
 	widths := make([]int, len(header))
 	for i, h := range header {
 		widths[i] = len(h)
@@ -151,7 +144,7 @@ func writeAligned(w io.Writer, header []string, rows [][]string) error {
 			}
 		}
 	}
-	line := func(cells []string) error {
+	line := func(cells []string) {
 		var b strings.Builder
 		for i, cell := range cells {
 			if i > 0 {
@@ -160,25 +153,17 @@ func writeAligned(w io.Writer, header []string, rows [][]string) error {
 			b.WriteString(cell)
 			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
 		}
-		_, err := fmt.Fprintln(w, strings.TrimRight(b.String(), " "))
-		return err
+		l.Println(strings.TrimRight(b.String(), " "))
 	}
-	if err := line(header); err != nil {
-		return err
-	}
+	line(header)
 	dashes := make([]string, len(header))
 	for i := range dashes {
 		dashes[i] = strings.Repeat("-", widths[i])
 	}
-	if err := line(dashes); err != nil {
-		return err
-	}
+	line(dashes)
 	for _, row := range rows {
-		if err := line(row); err != nil {
-			return err
-		}
+		line(row)
 	}
-	return nil
 }
 
 // Table2Row is one experiment row of the interactivity summary (Table 2):
@@ -196,9 +181,8 @@ type Table2Row struct {
 // columns for each system.
 func WriteTable2(w io.Writer, rows []Table2Row, systems []string) error {
 	title := "Table 2: % of scalability limit at first interactivity violation"
-	if _, err := fmt.Fprintf(w, "%s\n%s\n", title, strings.Repeat("=", len(title))); err != nil {
-		return err
-	}
+	l := NewLines(w)
+	l.Printf("%s\n%s\n", title, strings.Repeat("=", len(title)))
 	header := []string{"Experiment"}
 	for _, variant := range []string{"F", "V"} {
 		for _, sys := range systems {
@@ -219,11 +203,9 @@ func WriteTable2(w io.Writer, rows []Table2Row, systems []string) error {
 		}
 		out = append(out, row)
 	}
-	if err := writeAligned(w, header, out); err != nil {
-		return err
-	}
-	_, err := fmt.Fprintln(w)
-	return err
+	writeAligned(l, header, out)
+	l.Println()
+	return l.Err()
 }
 
 // FormatLimitPercent formats a violation row count as a percentage of the

@@ -6,6 +6,7 @@ package typecheck_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -251,12 +252,12 @@ func TestReportWriters(t *testing.T) {
 			t.Errorf("text report missing %q:\n%s", want, txt.String())
 		}
 	}
-	var js bytes.Buffer
-	if err := res.WriteJSON(&js); err != nil {
+	js, err := json.MarshalIndent(res, "", "  ")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(js.String(), `"numeric_certificate": true`) {
-		t.Errorf("JSON report missing certificate:\n%s", js.String())
+	if !strings.Contains(string(js), `"numeric_certificate": true`) {
+		t.Errorf("JSON report missing certificate:\n%s", js)
 	}
 }
 

@@ -5,11 +5,12 @@
 # B/op, allocs/op, samples per benchmark). Full runs repeat every
 # benchmark (-count=3) and keep the min-of-N figures — the noise-robust
 # statistic the benchdiff regression gate compares — with the real
-# iteration count of the winning run. Each run is also appended to
-# BENCH_history.jsonl (schema spreadbench-perfbase/v1) so the repo keeps a
-# perf trajectory, and both files are validated with cmd/obscheck before
-# the script exits, so a format drift fails here rather than corrupting
-# the record.
+# iteration count of the winning run. A full-suite run (neither -quick nor
+# a -bench filter) is also appended to the tracked BENCH_history.jsonl
+# (schema spreadbench-perfbase/v1), so the repo keeps a perf trajectory of
+# comparable records while smoke and filtered runs leave the checkout
+# clean. Both files are validated with cmd/obscheck before the script
+# exits, so a format drift fails here rather than corrupting the record.
 #
 # Usage: bench.sh [-quick] [go test -bench args...]
 #   -quick    one iteration per benchmark, min-of-3 (-benchtime=1x
@@ -32,12 +33,17 @@ hist="BENCH_history.jsonl"
 # -cpu 1 keeps benchmark names free of the -N GOMAXPROCS suffix, so they
 # match BENCH_baseline.json's rows (recorded the same way) on any machine.
 args=(-bench=. -benchmem -run '^$' -cpu 1)
+full=1
 if [ "${1:-}" = "-quick" ]; then
     shift
+    full=0
     args+=(-benchtime=1x -count=3)
 else
     args+=(-count=3)
 fi
+for a in "$@"; do
+    case "$a" in -bench | -bench=*) full=0 ;; esac
+done
 if [ "$#" -gt 0 ]; then
     args+=("$@")
 fi
@@ -83,9 +89,11 @@ awk '
     }
 ' "$raw" >"$out"
 
-label="${BENCH_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabeled)}"
-printf '{"schema":"spreadbench-perfbase/v1","unix_time":%s,"label":"%s","bench":%s}\n' \
-    "$(date +%s)" "$label" "$(tr -d '\n' <"$out")" >>"$hist"
+if [ "$full" = 1 ]; then
+    label="${BENCH_LABEL:-$(git rev-parse --short HEAD 2>/dev/null || echo unlabeled)}"
+    printf '{"schema":"spreadbench-perfbase/v1","unix_time":%s,"label":"%s","bench":%s}\n' \
+        "$(date +%s)" "$label" "$(tr -d '\n' <"$out")" >>"$hist"
+fi
 
 echo "== obscheck =="
 go run ./cmd/obscheck -bench "$out" -history "$hist"
