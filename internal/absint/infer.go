@@ -235,19 +235,6 @@ func errValue(e typecheck.Errs) Value {
 	return Value{Ab: typecheck.Abstract{Errs: e}, Num: EmptyInterval()}
 }
 
-// shiftRef translates a reference by the site displacement the way the
-// evaluator does (absolute components stay put).
-func shiftRef(r cell.Ref, dr, dc int) cell.Addr {
-	a := r.Addr
-	if !r.AbsRow {
-		a.Row += dr
-	}
-	if !r.AbsCol {
-		a.Col += dc
-	}
-	return a
-}
-
 // numInterval bounds the result of numerically coercing the value
 // (cell.Value.AsNumber): numbers keep their interval, bools coerce to
 // {0,1}, empty to 0, and text can parse to anything, so it forces Full.
@@ -298,10 +285,10 @@ func (inf *Inference) evalNode(n formula.Node, dr, dc int) absOp {
 	case formula.ErrorLit:
 		return scalarOp(Exactly(cell.Errorf(string(t))))
 	case formula.RefNode:
-		return scalarOp(inf.At(shiftRef(t.Ref, dr, dc)))
+		return scalarOp(inf.At(t.Ref.Shift(dr, dc).Addr))
 	case formula.RangeNode:
 		return absOp{
-			rng:     cell.RangeOf(shiftRef(t.From, dr, dc), shiftRef(t.To, dr, dc)),
+			rng:     t.Shift(dr, dc),
 			isRange: true,
 		}
 	case formula.UnaryNode:
@@ -316,7 +303,7 @@ func (inf *Inference) evalNode(n formula.Node, dr, dc int) absOp {
 		// extent (counts stay sound) with top cells.
 		if t.IsRange {
 			return absOp{
-				rng:     cell.RangeOf(shiftRef(t.From, dr, dc), shiftRef(t.To, dr, dc)),
+				rng:     formula.RangeNode{From: t.From, To: t.To}.Shift(dr, dc),
 				isRange: true,
 				ext:     true,
 			}

@@ -9,9 +9,10 @@
 //
 // The paper's central OOT finding is that Excel, Calc, and Sheets execute
 // formulas with essentially no prior analysis; this package is the analysis
-// pass that every optimization the ROADMAP plans builds on. The optimized
-// engine profile already consults it at install time (see
-// SharedColumnAggregates and internal/engine/optimized.go).
+// pass that every optimization the ROADMAP plans builds on. Call sites are
+// classified and lookups priced by the cost planner (internal/plan), the
+// same reader the optimized engine's install pre-flight uses, so the
+// analyzer's estimates and the engine's choices rest on one site model.
 package analyze
 
 import (
@@ -256,16 +257,17 @@ func analyzeSheet(s *sheet.Sheet, opt Options) *SheetReport {
 	lv := newLookupView(s, inf)
 
 	for _, f := range sites {
+		evalCells := lv.estEvalCells(f)
 		checkVolatile(emit, s, g, f)
 		checkWideRange(emit, s, f, opt)
 		checkConstFold(emit, s, f)
 		checkTypes(emit, s, f, opt)
-		checkHotFormula(emit, s, g, f, opt, lv)
+		checkHotFormula(emit, s, g, f, evalCells, opt)
 		checkErrorBlast(emit, s, g, inf, f, opt)
 		checkCoercion(emit, s, inf, f, opt)
 		checkUnsortedLookup(emit, s, f, lv, opt)
 		shared.add(f)
-		sr.EstEvalCells += lv.estEvalCells(f)
+		sr.EstEvalCells += evalCells
 	}
 
 	shared.report(emit, opt)
@@ -339,24 +341,6 @@ func (e *emitter) finish() {
 		}
 		return ai.Col < aj.Col
 	})
-}
-
-// shiftRef translates a reference by the site displacement the way the
-// evaluator would (absolute components stay put).
-func shiftRef(r cell.Ref, dr, dc int) cell.Addr {
-	a := r.Addr
-	if !r.AbsRow {
-		a.Row += dr
-	}
-	if !r.AbsCol {
-		a.Col += dc
-	}
-	return a
-}
-
-// shiftRange translates a range node by the site displacement.
-func shiftRange(rn formula.RangeNode, dr, dc int) cell.Range {
-	return cell.RangeOf(shiftRef(rn.From, dr, dc), shiftRef(rn.To, dr, dc))
 }
 
 // describe renders a formula site's effective text (references shifted to

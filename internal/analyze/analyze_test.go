@@ -294,23 +294,6 @@ func TestWorkbookAggregatesSheets(t *testing.T) {
 	}
 }
 
-func TestSharedColumnAggregates(t *testing.T) {
-	s := mkSheet(t, nil, map[string]string{
-		"A1": "=SUM(C1:C50)",
-		"A2": "=SUM(C1:C50)/COUNT(C1:C50)",
-		"A3": "=AVERAGE(D1:D50)",
-		"A4": "=SUM(E1:F50)",           // two columns: not indexable
-		"A5": "=COUNTIF(C1:C50,\"x\")", // not a plain aggregate
-	})
-	cols := SharedColumnAggregates(s, 2)
-	if len(cols) != 1 || cols[0] != 2 {
-		t.Fatalf("cols = %v, want [2] (column C, 3 aggregate reads)", cols)
-	}
-	if cols := SharedColumnAggregates(s, 1); len(cols) != 2 || cols[0] != 2 || cols[1] != 3 {
-		t.Fatalf("minShare=1 cols = %v, want [2 3]", cols)
-	}
-}
-
 func TestAnalysisIsReadOnly(t *testing.T) {
 	// Analysis must not evaluate or cache anything: the formula cells'
 	// displayed values stay untouched.

@@ -1,9 +1,8 @@
 package analyze
 
 import (
-	"math/bits"
-
 	"repro/internal/graph"
+	"repro/internal/plan"
 )
 
 // EstimateRecalcOps predicts, without building or running anything, the
@@ -38,15 +37,7 @@ func EstimateRecalcOps(sites []formulaSite) int64 {
 			}
 		}
 	}
-	est += f               // ready-queue pops
-	est += f * ceilLog2(f) // sequencing comparisons
+	est += f                    // ready-queue pops
+	est += f * plan.CeilLog2(f) // sequencing comparisons
 	return est
-}
-
-// ceilLog2 returns ceil(log2(n)) for n >= 1.
-func ceilLog2(n int64) int64 {
-	if n <= 1 {
-		return 0
-	}
-	return int64(bits.Len64(uint64(n - 1)))
 }

@@ -49,15 +49,6 @@ func TestEstimateEmptySheet(t *testing.T) {
 	}
 }
 
-func TestCeilLog2(t *testing.T) {
-	cases := map[int64]int64{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
-	for n, want := range cases {
-		if got := ceilLog2(n); got != want {
-			t.Errorf("ceilLog2(%d) = %d, want %d", n, got, want)
-		}
-	}
-}
-
 // TestSheetReportEstimateMatchesWorkload ties the report field to the model
 // on the standard analysis fixture.
 func TestSheetReportEstimateMatchesWorkload(t *testing.T) {

@@ -1,6 +1,5 @@
 // Cost-model validation across the business workload suite, in the
-// external test package so it can drive the real optimized engine (which
-// imports analyze for its install pre-flight).
+// external test package that drives the real optimized engine.
 package analyze_test
 
 import (

@@ -1,6 +1,5 @@
-// The cost-model validation lives in an external test package so it can
-// compare the static estimate against the real optimized engine, which
-// itself imports analyze for its install pre-flight.
+// The cost-model validation lives in an external test package: it
+// compares the static estimate against the real optimized engine.
 package analyze_test
 
 import (

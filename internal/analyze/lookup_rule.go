@@ -5,196 +5,21 @@ import (
 
 	"repro/internal/absint"
 	"repro/internal/cell"
-	"repro/internal/formula"
+	"repro/internal/costmodel"
+	"repro/internal/plan"
 	"repro/internal/sheet"
 )
 
 // This file implements the lookup-aware half of the cost model plus
-// RuleUnsortedLookup. Both consume the abstract-interpretation value
-// analysis (internal/absint): a MATCH or VLOOKUP whose key column is
-// certified ascending is served by binary search in the optimized engine
-// (internal/formula/funcs_lookup.go), and an exact-match VLOOKUP over a
-// local range is served by the hash column index — so charging either one
-// a full linear scan would systematically overestimate recalculation cost
-// and mask the formulas that genuinely scan.
-
-// lookupSite is one statically classifiable lookup call: the searched key
-// column and row span on the host sheet, the full cell cardinality of the
-// range argument (what PrecedentCells charges for it), and the match mode.
-type lookupSite struct {
-	fn     string // "MATCH" or "VLOOKUP"
-	col    int    // key column after displacement
-	r0, r1 int    // searched row span, inclusive
-	// tableCells is the range argument's cardinality — the linear-scan
-	// charge the sub-linear paths replace.
-	tableCells int
-	// mode is 0 for exact match, 1 for approximate ascending, -1 for
-	// MATCH's descending mode.
-	mode int
-}
-
-func (ls lookupSite) span() int64 { return int64(ls.r1 - ls.r0 + 1) }
-
-// lookupSitesIn extracts the lookup calls of one formula that the cost
-// model can classify: MATCH over a single local column, and VLOOKUP over a
-// local table (key column = leftmost). Cross-sheet lookups are skipped —
-// PrecedentCells never charged their cells in the first place — as are
-// calls whose mode argument is not a literal.
-func lookupSitesIn(f formulaSite) []lookupSite {
-	var out []lookupSite
-	formula.Walk(f.code.Root, func(n formula.Node) {
-		call, ok := n.(formula.CallNode)
-		if !ok {
-			return
-		}
-		switch call.Name {
-		case "MATCH":
-			if len(call.Args) < 2 {
-				return
-			}
-			rn, ok := call.Args[1].(formula.RangeNode)
-			if !ok {
-				return
-			}
-			mode := 1
-			if len(call.Args) >= 3 {
-				lit, ok := call.Args[2].(formula.NumberLit)
-				if !ok {
-					return // dynamic mode: not statically classifiable
-				}
-				switch {
-				case float64(lit) == 0:
-					mode = 0
-				case float64(lit) < 0:
-					mode = -1
-				}
-			}
-			r := shiftRange(rn, f.dr, f.dc)
-			if r.Start.Col != r.End.Col {
-				return // only column MATCH has a key column
-			}
-			out = append(out, lookupSite{fn: call.Name, col: r.Start.Col,
-				r0: r.Start.Row, r1: r.End.Row, tableCells: r.Cells(), mode: mode})
-		case "VLOOKUP":
-			if len(call.Args) < 3 {
-				return
-			}
-			rn, ok := call.Args[1].(formula.RangeNode)
-			if !ok {
-				return
-			}
-			mode := 1
-			if len(call.Args) >= 4 {
-				switch lit := call.Args[3].(type) {
-				case formula.BoolLit:
-					if !bool(lit) {
-						mode = 0
-					}
-				case formula.NumberLit:
-					if float64(lit) == 0 {
-						mode = 0
-					}
-				default:
-					return
-				}
-			}
-			r := shiftRange(rn, f.dr, f.dc)
-			out = append(out, lookupSite{fn: call.Name, col: r.Start.Col,
-				r0: r.Start.Row, r1: r.End.Row, tableCells: r.Cells(), mode: mode})
-		}
-	})
-	return out
-}
-
-// extLookupCells estimates the cells the optimized engine reads to serve
-// one formula's cross-sheet references, which PrecedentCells never counts
-// (they live outside the host sheet's dependency graph). Classifiable
-// cross-sheet lookups are charged their algorithm's bound — approximate
-// matches binary-search under the optimized profile's policy (no
-// certificate needed), exact matches scan the foreign key column with
-// early exit (no hash index serves a foreign table), expected half the
-// span plus the result read. Every other cross-sheet range is charged its
-// full cardinality, the aggregate-scan cost.
-func extLookupCells(f formulaSite) int64 {
-	var est int64
-	lookupTables := make(map[formula.ExtRefNode]bool)
-	formula.Walk(f.code.Root, func(n formula.Node) {
-		call, ok := n.(formula.CallNode)
-		if !ok || len(call.Args) < 2 {
-			return
-		}
-		en, ok := call.Args[1].(formula.ExtRefNode)
-		if !ok || !en.IsRange {
-			return
-		}
-		span := int64(en.To.Addr.Row - en.From.Addr.Row + 1)
-		if span < 1 {
-			return
-		}
-		switch call.Name {
-		case "MATCH":
-			mode := 1
-			if len(call.Args) >= 3 {
-				lit, ok := call.Args[2].(formula.NumberLit)
-				if !ok {
-					return // dynamic mode: charged as a plain range below
-				}
-				switch {
-				case float64(lit) == 0:
-					mode = 0
-				case float64(lit) < 0:
-					mode = -1
-				}
-			}
-			lookupTables[en] = true
-			switch {
-			case mode > 0:
-				est += ceilLog2(span) + 1 // policy binary search
-			case mode == 0:
-				est += (span + 1) / 2 // early-exit scan, expected half
-			default:
-				est += span // descending scan
-			}
-		case "VLOOKUP":
-			if len(call.Args) < 3 {
-				return
-			}
-			mode := 1
-			if len(call.Args) >= 4 {
-				switch lit := call.Args[3].(type) {
-				case formula.BoolLit:
-					if !bool(lit) {
-						mode = 0
-					}
-				case formula.NumberLit:
-					if float64(lit) == 0 {
-						mode = 0
-					}
-				default:
-					return
-				}
-			}
-			lookupTables[en] = true
-			if mode > 0 {
-				est += ceilLog2(span) + 2 // binary search + result read
-			} else {
-				est += (span+1)/2 + 1 // early-exit key scan + result read
-			}
-		}
-	})
-	formula.Walk(f.code.Root, func(n formula.Node) {
-		en, ok := n.(formula.ExtRefNode)
-		if !ok || lookupTables[en] {
-			return
-		}
-		if !en.IsRange {
-			est++
-			return
-		}
-		est += int64(en.Range().Cells())
-	})
-	return est
-}
+// RuleUnsortedLookup. Lookup calls are read by the plan package's site
+// classifier (plan.EachUse) and priced by its lookup work functions; what
+// this file adds is which path the optimized engine takes, from the
+// abstract-interpretation value analysis (internal/absint): a MATCH or
+// VLOOKUP whose key column is certified ascending is served by binary
+// search (internal/formula/funcs_lookup.go), and an exact-match VLOOKUP
+// over a local range is served by the hash column index — so charging
+// either one a full linear scan would systematically overestimate
+// recalculation cost and mask the formulas that genuinely scan.
 
 // lookupView lazily derives the sheet facts the lookup rules need from
 // the analyzer's shared inference. The column certificates and the
@@ -242,17 +67,17 @@ func (lv *lookupView) sortedAsc(col, r0, r1 int) bool {
 	return v
 }
 
-// servedSubLinear reports whether the optimized engine answers this lookup
-// without scanning the table: exact VLOOKUP probes the hash column index,
-// and any ascending-certified key column is binary-searched.
-func (lv *lookupView) servedSubLinear(ls lookupSite) bool {
-	if ls.fn == "VLOOKUP" && ls.mode == 0 {
+// servedSubLinear reports whether the optimized engine answers this local
+// lookup without scanning the table: exact VLOOKUP probes the hash column
+// index, and any ascending-certified key column is binary-searched.
+func (lv *lookupView) servedSubLinear(u plan.Use) bool {
+	if u.Fn == "VLOOKUP" && u.Mode == 0 {
 		return true
 	}
-	if ls.mode < 0 {
+	if u.Mode < 0 {
 		return false // descending MATCH has no certified fast path
 	}
-	return lv.sortedAsc(ls.col, ls.r0, ls.r1)
+	return lv.sortedAsc(u.Col, u.R0, u.R1)
 }
 
 // sortednessUnknown reports whether the span's concrete ascending-run check
@@ -272,25 +97,43 @@ func (lv *lookupView) sortednessUnknown(col, r0, r1 int) bool {
 }
 
 // estEvalCells is the lookup-aware replacement for PrecedentCells in the
-// per-formula cost model: sub-linearly served lookups are charged their
-// probe count (ceil(log2 n) key comparisons plus the result read) instead
-// of the table's full cardinality. The hash-index path is cheaper still,
-// but charging it the binary-search bound keeps the estimate conservative
-// with respect to the index's amortized build cost.
+// per-formula cost model. A local lookup served sub-linearly is charged
+// plan's binary-search price instead of its table's cardinality (the
+// hash-index path is cheaper still, but the binary-search bound keeps the
+// estimate conservative with respect to the index's amortized build).
+// Cross-sheet reads, which PrecedentCells never counts, are added: an
+// approximate cross-sheet lookup binary-searches under the optimized
+// profile's policy (no certificate needed), an exact or descending one
+// scans the foreign key column, and every other cross-sheet reference is
+// read in full.
 func (lv *lookupView) estEvalCells(f formulaSite) int64 {
 	est := int64(f.code.PrecedentCells())
-	for _, ls := range lookupSitesIn(f) {
-		if !lv.servedSubLinear(ls) {
-			continue
+	plan.EachUse(f.code.Root, f.dr, f.dc, func(u plan.Use) {
+		switch {
+		case u.Sheet == "":
+			if u.Kind == plan.LookupUse && lv.servedSubLinear(u) {
+				est += lookupTouches(u, true) - int64(u.Cells)
+			}
+		case u.Kind == plan.LookupUse:
+			est += lookupTouches(u, u.Mode > 0)
+		default:
+			est += int64(u.Cells)
 		}
-		est -= int64(ls.tableCells)
-		est += ceilLog2(ls.span()) + 2
-	}
-	est += extLookupCells(f)
+	})
 	if est < 1 && f.code.PrecedentCells() > 0 {
 		est = 1
 	}
 	return est
+}
+
+// lookupTouches is plan's cell-read price of one lookup evaluation, by
+// binary search or by linear scan.
+func lookupTouches(u plan.Use, binary bool) int64 {
+	w := plan.ScanLookupWork(u.Fn, u.Mode, u.Span())
+	if binary {
+		w = plan.BinSearchLookupWork(u.Fn, u.Span(), true, 1)
+	}
+	return w.Count(costmodel.CellTouch)
 }
 
 // checkUnsortedLookup implements RuleUnsortedLookup: a lookup that scans a
@@ -300,51 +143,52 @@ func (lv *lookupView) estEvalCells(f formulaSite) int64 {
 // is the formula's stated contract). Cost is the cells scanned per
 // evaluation — the saving sorting would unlock.
 func checkUnsortedLookup(e *emitter, s *sheet.Sheet, f formulaSite, lv *lookupView, opt Options) {
-	for _, ls := range lookupSitesIn(f) {
-		cells := ls.span()
+	plan.EachUse(f.code.Root, f.dr, f.dc, func(u plan.Use) {
+		if u.Kind != plan.LookupUse || u.Sheet != "" {
+			return
+		}
+		cells := u.Span()
 		if cells < int64(opt.UnsortedLookupMin) {
-			continue
+			return
 		}
-		if ls.fn == "VLOOKUP" && ls.mode == 0 {
-			continue
-		}
-		if ls.mode < 0 {
-			continue
-		}
-		if lv.sortedAsc(ls.col, ls.r0, ls.r1) {
-			continue
+		// Served lookups are already fast, and a descending MATCH states its
+		// order as its contract.
+		if u.Mode < 0 || lv.servedSubLinear(u) {
+			return
 		}
 		// Only numeric key columns can certify: sorting a mixed-kind
 		// column would not unlock the binary-search path.
-		cc := lv.certFor().Column(ls.col)
-		if cc == nil || cc.NumericFrom > ls.r0 || cc.R1 < ls.r1 {
-			continue
+		cc := lv.certFor().Column(u.Col)
+		if cc == nil || cc.NumericFrom > u.R0 || cc.R1 < u.R1 {
+			return
 		}
 		// A formula key column with uncached results cannot be called
 		// unsorted: once evaluated, the engine's rescan may well certify it
 		// ascending and serve this very lookup by binary search (it would
 		// then carry a SortedAsc certificate the static pass cannot see).
 		// Advising a sort there double-reports an already-fast lookup.
-		if cc.HasFormula && lv.sortednessUnknown(ls.col, ls.r0, ls.r1) {
-			continue
+		if cc.HasFormula && lv.sortednessUnknown(u.Col, u.R0, u.R1) {
+			return
 		}
+		bs := plan.BinSearchLookupWork(u.Fn, cells, true, 1)
+		probes := bs.Count(costmodel.Compare)
 		e.emit(Finding{
 			Rule:     RuleUnsortedLookup,
 			Severity: Info,
 			Sheet:    s.Name,
 			Cell:     f.at.A1(),
 			Message: fmt.Sprintf("%s scans %s (%d cells) linearly; the numeric key column is not sorted — sorting it ascending would certify an O(log n) binary search (~%d probes)",
-				ls.fn, spanText(ls), cells, ceilLog2(cells)+1),
+				u.Fn, spanText(u), cells, probes),
 			Cost: cells,
 		})
-	}
+	})
 }
 
 // spanText renders the searched key span in A1 notation.
-func spanText(ls lookupSite) string {
-	from := cell.Addr{Row: ls.r0, Col: ls.col}.A1()
-	if ls.r1 == ls.r0 {
+func spanText(u plan.Use) string {
+	from := cell.Addr{Row: u.R0, Col: u.Col}.A1()
+	if u.R1 == u.R0 {
 		return from
 	}
-	return from + ":" + cell.Addr{Row: ls.r1, Col: ls.col}.A1()
+	return from + ":" + cell.Addr{Row: u.R1, Col: u.Col}.A1()
 }

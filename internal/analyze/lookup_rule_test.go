@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/formula"
+	"repro/internal/plan"
 	"repro/internal/sheet"
 )
 
@@ -43,8 +44,9 @@ func TestLookupCostSortedColumn(t *testing.T) {
 	sr := SheetReportFor(s, Options{})
 
 	// A sorted key column serves every MATCH by binary search: the
-	// estimate charges probes, not the 200-cell scan.
-	want := int64(lookups) * (ceilLog2(200) + 2)
+	// estimate charges plan's probe count (MATCH reads no result cell),
+	// not the 200-cell scan.
+	want := int64(lookups) * (plan.CeilLog2(200) + 1)
 	if sr.EstEvalCells != want {
 		t.Errorf("EstEvalCells = %d, want %d (binary-search probes)", sr.EstEvalCells, want)
 	}
@@ -79,7 +81,7 @@ func TestRuleUnsortedLookup(t *testing.T) {
 
 	// The scanning MATCHes are charged linearly, the indexed VLOOKUP its
 	// probe bound.
-	want := 2*200 + (ceilLog2(200) + 2)
+	want := 2*200 + (plan.CeilLog2(200) + 2)
 	if sr.EstEvalCells != int64(want) {
 		t.Errorf("EstEvalCells = %d, want %d", sr.EstEvalCells, want)
 	}

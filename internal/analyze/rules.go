@@ -47,7 +47,7 @@ func checkWideRange(e *emitter, s *sheet.Sheet, f formulaSite, opt Options) {
 		if !ok {
 			return
 		}
-		r := shiftRange(rn, f.dr, f.dc)
+		r := rn.Shift(f.dr, f.dc)
 		cells := r.Cells()
 		if cells < opt.WideRangeCells {
 			return
@@ -191,16 +191,16 @@ func checkCriterionTypes(e *emitter, s *sheet.Sheet, f formulaSite, call formula
 	if !ok {
 		return
 	}
-	lit := literalCellValue(call.Args[argIdx])
-	if lit == nil {
+	lit, ok := formula.LiteralValue(call.Args[argIdx])
+	if !ok {
 		return
 	}
-	crit := formula.CompileCriterion(*lit)
+	crit := formula.CompileCriterion(lit)
 	op, cv, _ := crit.Shape()
 	if op == formula.OpNE {
 		return // <> matches non-numeric cells by definition; never vacuous
 	}
-	ks := sampleRangeKinds(s, shiftRange(rn, f.dr, f.dc), opt.TypeSampleLimit)
+	ks := sampleRangeKinds(s, rn.Shift(f.dr, f.dc), opt.TypeSampleLimit)
 	if ks == 0 {
 		return // empty or unloaded range: nothing to judge
 	}
@@ -214,7 +214,7 @@ func checkCriterionTypes(e *emitter, s *sheet.Sheet, f formulaSite, call formula
 		Sheet:    s.Name,
 		Cell:     f.at.A1(),
 		Message: fmt.Sprintf("%s criterion %s is %s but the sampled range holds only %s values; the condition never matches",
-			call.Name, formatCriterion(*lit), kindName(critKind), kindNames(ks)),
+			call.Name, formatCriterion(lit), kindName(critKind), kindNames(ks)),
 	})
 }
 
@@ -228,8 +228,8 @@ func checkComparisonTypes(e *emitter, s *sheet.Sheet, f formulaSite, bin formula
 	if !ok {
 		return
 	}
-	litKind := kindOf(*lit)
-	cellKind := kindOf(s.Value(shiftRef(ref.Ref, f.dr, f.dc)))
+	litKind := kindOf(lit)
+	cellKind := kindOf(s.Value(ref.Ref.Shift(f.dr, f.dc).Addr))
 	if litKind == 0 || cellKind == 0 || litKind == cellKind {
 		return
 	}
@@ -243,37 +243,20 @@ func checkComparisonTypes(e *emitter, s *sheet.Sheet, f formulaSite, bin formula
 	})
 }
 
-// literalCellValue converts a literal AST node to a cell.Value; nil for
-// non-literals.
-func literalCellValue(n formula.Node) *cell.Value {
-	var v cell.Value
-	switch t := n.(type) {
-	case formula.NumberLit:
-		v = cell.Num(float64(t))
-	case formula.StringLit:
-		v = cell.Str(string(t))
-	case formula.BoolLit:
-		v = cell.Boolean(bool(t))
-	default:
-		return nil
-	}
-	return &v
-}
-
 // literalVsRef matches the (literal, single-ref) operand shape in either
 // order.
-func literalVsRef(l, r formula.Node) (*cell.Value, formula.RefNode, bool) {
-	if v := literalCellValue(l); v != nil {
+func literalVsRef(l, r formula.Node) (cell.Value, formula.RefNode, bool) {
+	if v, ok := formula.LiteralValue(l); ok {
 		if rn, ok := r.(formula.RefNode); ok {
 			return v, rn, true
 		}
 	}
-	if v := literalCellValue(r); v != nil {
+	if v, ok := formula.LiteralValue(r); ok {
 		if rn, ok := l.(formula.RefNode); ok {
 			return v, rn, true
 		}
 	}
-	return nil, formula.RefNode{}, false
+	return cell.Value{}, formula.RefNode{}, false
 }
 
 func formatCriterion(v cell.Value) string {
@@ -315,11 +298,10 @@ func kindNames(ks kindSet) string {
 // of one formula is its per-evaluation read count times (1 + its dependent
 // fan-out) — how much scanning one edit to any of its inputs triggers,
 // directly and through recomputation of everything downstream. The read
-// count is lookup-aware (lookupView.estEvalCells): an indexed or
+// count evalCost is lookup-aware (lookupView.estEvalCells): an indexed or
 // sortedness-certified lookup is charged its probes, not the table scan it
 // never performs.
-func checkHotFormula(e *emitter, s *sheet.Sheet, g *graph.Graph, f formulaSite, opt Options, lv *lookupView) {
-	evalCost := lv.estEvalCells(f)
+func checkHotFormula(e *emitter, s *sheet.Sheet, g *graph.Graph, f formulaSite, evalCost int64, opt Options) {
 	if evalCost == 0 {
 		return
 	}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/cell"
 	"repro/internal/formula"
-	"repro/internal/sheet"
 )
 
 // sharedScan implements RuleSharedSubexp: it buckets every non-trivial
@@ -179,47 +178,4 @@ func exampleCells(cs []cell.Addr) string {
 		out += a.A1()
 	}
 	return out
-}
-
-// singleColumnAggs are the aggregates the optimized engine can answer from
-// a per-column index (prefix sums); see internal/engine/optimized.go.
-var singleColumnAggs = map[string]bool{"SUM": true, "COUNT": true, "AVERAGE": true}
-
-// SharedColumnAggregates returns the columns that at least minShare
-// formula subtrees aggregate with an indexable function (SUM, COUNT,
-// AVERAGE over one single-column range argument). The optimized engine's
-// install pre-flight uses this to decide which column indexes to build
-// eagerly instead of faulting them in on first evaluation. Results are
-// sorted ascending.
-func SharedColumnAggregates(s *sheet.Sheet, minShare int) []int {
-	if minShare < 1 {
-		minShare = 1
-	}
-	counts := make(map[int]int)
-	s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
-		dr, dc := fc.DeltaAt(a)
-		formula.Walk(fc.Code.Root, func(n formula.Node) {
-			call, ok := n.(formula.CallNode)
-			if !ok || !singleColumnAggs[call.Name] || len(call.Args) != 1 {
-				return
-			}
-			rn, ok := call.Args[0].(formula.RangeNode)
-			if !ok {
-				return
-			}
-			r := shiftRange(rn, dr, dc)
-			if r.Start.Col == r.End.Col {
-				counts[r.Start.Col]++
-			}
-		})
-		return true
-	})
-	var cols []int
-	for col, n := range counts {
-		if n >= minShare {
-			cols = append(cols, col)
-		}
-	}
-	sort.Ints(cols)
-	return cols
 }

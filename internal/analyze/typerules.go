@@ -74,14 +74,14 @@ func checkCoercion(e *emitter, s *sheet.Sheet, inf *absint.Inference, f formulaS
 		if !ok {
 			return
 		}
-		lit := literalCellValue(call.Args[argIdx])
-		if lit == nil {
+		lit, isLit := formula.LiteralValue(call.Args[argIdx])
+		if !isLit {
 			return
 		}
-		if _, cv, _ := formula.CompileCriterion(*lit).Shape(); cv.Kind != cell.Number {
+		if _, cv, _ := formula.CompileCriterion(lit).Shape(); cv.Kind != cell.Number {
 			return
 		}
-		r := shiftRange(rn, f.dr, f.dc)
+		r := rn.Shift(f.dr, f.dc)
 		cells := r.Cells()
 		if cells < opt.CoercionMinCells {
 			return

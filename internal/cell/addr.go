@@ -105,6 +105,22 @@ type Ref struct {
 	AbsCol bool
 }
 
+// Shift returns the reference as read from a cell displaced (dr, dc) from
+// where it was written: relative components translate, absolute ones stay,
+// and the flags are kept. This is the one displacement rule behind
+// evaluation, copy-paste rewriting, structural adjustment, R1C1 text and
+// every static analysis. The result may lie off the sheet; callers that
+// care check Addr.Valid.
+func (r Ref) Shift(dr, dc int) Ref {
+	if !r.AbsRow {
+		r.Addr.Row += dr
+	}
+	if !r.AbsCol {
+		r.Addr.Col += dc
+	}
+	return r
+}
+
 // String renders the reference with its absolute markers.
 func (r Ref) String() string {
 	var b strings.Builder

@@ -134,3 +134,20 @@ func TestAddrOffset(t *testing.T) {
 		t.Error("negative row should be invalid")
 	}
 }
+
+func TestRefShiftHonorsAnchors(t *testing.T) {
+	cases := map[string]string{"B2": "D1", "$B2": "B1", "B$2": "D2", "$B$2": "B2"}
+	for in, want := range cases {
+		r, err := ParseRef(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := r.Shift(-1, 2)
+		if got.Addr.A1() != want || got.AbsRow != r.AbsRow || got.AbsCol != r.AbsCol {
+			t.Errorf("%s.Shift(-1, 2) = %+v, want %s with the flags kept", in, got, want)
+		}
+	}
+	if r := (Ref{Addr: Addr{Row: 0, Col: 0}}); r.Shift(-1, 0).Addr.Valid() {
+		t.Error("a relative row shifted above the sheet must be invalid")
+	}
+}

@@ -506,8 +506,6 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 	return order, cyclic
 }
 
-// evalAll evaluates every formula on the sheet in dependency order,
-// charging the given meter. Cyclic cells get #CYCLE!.
 // setCached stores a formula's freshly evaluated result. The value change
 // is routed through the optimized profile's structure maintenance first:
 // formula results live in indexed columns like any other cell, and a raw
@@ -522,9 +520,19 @@ func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) {
 	s.SetCachedValue(a, v)
 }
 
+// evalAll evaluates every formula on the sheet in dependency order,
+// charging the given meter. Cyclic cells get #CYCLE!.
 func (e *Engine) evalAll(s *sheet.Sheet, meter *costmodel.Meter) {
 	sp := obs.Start("engine.eval_all")
 	order, cyclic := e.fullChain(s, meter)
+	e.evalChain(s, order, cyclic, meter)
+	sp.Int("cells", int64(len(order)+len(cyclic))).End()
+}
+
+// evalChain evaluates a sequenced calc chain: order in dependency order,
+// then #CYCLE! into every cyclic cell. Results go through setCached, so
+// the derived state follows every changed value.
+func (e *Engine) evalChain(s *sheet.Sheet, order, cyclic []cell.Addr, meter *costmodel.Meter) {
 	env := e.env(s, meter, false, true)
 	for _, a := range order {
 		fc, ok := s.Formula(a)
@@ -553,7 +561,6 @@ func (e *Engine) evalAll(s *sheet.Sheet, meter *costmodel.Meter) {
 		e.setCached(s, a, cell.Errorf(cell.ErrCycle))
 	}
 	e.met.cellsEvaluated.Add(int64(len(order) + len(cyclic)))
-	sp.Int("cells", int64(len(order)+len(cyclic))).End()
 }
 
 // rowsMoved is the one entry point for row and column moves (sort,

@@ -170,7 +170,7 @@ func TestStagedStaleScheduleAfterSplit(t *testing.T) {
 
 // TestStagedRefusesUncertified: the shim must refuse a sheet with volatile
 // and cyclic summary formulas, while RecalculateParallel falls back to
-// per-cell leveling and still matches the serial engine.
+// the serial calc chain and still matches the serial engine.
 func TestStagedRefusesUncertified(t *testing.T) {
 	naive := New(Profiles()["excel"])
 	par := New(Profiles()["excel"])

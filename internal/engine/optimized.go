@@ -3,11 +3,11 @@ package engine
 import (
 	"math"
 
-	"repro/internal/analyze"
 	"repro/internal/cell"
 	"repro/internal/costmodel"
 	"repro/internal/formula"
 	"repro/internal/index"
+	"repro/internal/plan"
 	"repro/internal/sheet"
 )
 
@@ -102,12 +102,14 @@ func newOptState() *optState {
 }
 
 // buildOptState attaches optimization state to a loaded sheet. Most
-// structures build lazily, but the static analyzer's pre-flight runs here:
-// columns that several formulas aggregate (analyze.SharedColumnAggregates —
-// the shared-subexpression rule's engine-facing form) get their prefix-sum
-// indexes eagerly, so the first aggregate query after install is already an
-// index probe rather than a full column scan. Install resets the meters
-// after setup, so the eager build is charged to load, not to experiments.
+// structures build lazily, but the install pre-flight runs here: columns
+// that two or more single-column SUM/COUNT/AVERAGE calls aggregate
+// (plan.SharedAggColumns, read off the plan package's site classifier) get
+// their prefix-sum indexes eagerly, so the first aggregate query after
+// install is already an index probe rather than a full column scan. Under
+// the planned profile the cost plan's EagerBuild choices pick the columns
+// instead. Install resets the meters after setup, so the eager build is
+// charged to load, not to experiments.
 func (e *Engine) buildOptState(s *sheet.Sheet) {
 	st := newOptState()
 	e.state(s).opt = st
@@ -115,11 +117,11 @@ func (e *Engine) buildOptState(s *sheet.Sheet) {
 		// Like the rest of setup (§6 builds asynchronously), the eager
 		// build is not charged: snapshot and restore the meter around it.
 		saved := e.meter
-		cols := analyze.SharedColumnAggregates(s, sharedAggMin)
+		var cols []int
 		if e.prof.Opt.CostPlanner {
-			// The cost plan prices eager vs lazy per column and replaces
-			// the hard-wired shared-use threshold.
 			cols = e.plannedEagerCols(s)
+		} else {
+			cols = plan.SharedAggColumns(s)
 		}
 		for _, col := range cols {
 			st.prefixFor(e, s, col)
@@ -127,10 +129,6 @@ func (e *Engine) buildOptState(s *sheet.Sheet) {
 		e.meter = saved
 	}
 }
-
-// sharedAggMin is how many aggregate reads of one column justify building
-// its index at install time rather than on first query.
-const sharedAggMin = 2
 
 // hashFor returns the column's hash index, building it on first use (the
 // build scan is charged — one CellTouch per row — and amortized thereafter).
@@ -259,34 +257,6 @@ func (ix indexedSrc) IndexWorthwhile(col, lo, hi int) bool {
 	return ix.e.plannedHashProbe(ix.s, col, lo, hi)
 }
 
-// singleColumnRange extracts (col, r0, r1) when the node is a rectangular
-// single-column range; the fast paths apply only then.
-func singleColumnRange(n formula.Node) (col, r0, r1 int, ok bool) {
-	rn, isRange := n.(formula.RangeNode)
-	if !isRange {
-		return 0, 0, 0, false
-	}
-	r := rn.Range()
-	if r.Cols() != 1 {
-		return 0, 0, 0, false
-	}
-	return r.Start.Col, r.Start.Row, r.End.Row, true
-}
-
-// literalValue extracts a literal scalar argument (number, string, bool).
-func literalValue(n formula.Node) (cell.Value, bool) {
-	switch t := n.(type) {
-	case formula.NumberLit:
-		return cell.Num(float64(t)), true
-	case formula.StringLit:
-		return cell.Str(string(t)), true
-	case formula.BoolLit:
-		return cell.Boolean(bool(t)), true
-	default:
-		return cell.Value{}, false
-	}
-}
-
 // fastEval answers a freshly inserted formula from the optimization
 // structures when its shape qualifies. It returns ok=false to fall back to
 // ordinary evaluation.
@@ -301,18 +271,15 @@ func (st *optState) fastEval(e *Engine, s *sheet.Sheet, c *formula.Compiled) (ce
 		}
 	}
 
-	call, isCall := c.Root.(formula.CallNode)
-	if !isCall {
+	// A freshly inserted formula sits at its origin: no displacement.
+	u, ok := plan.Classify(c.Root, 0, 0)
+	if !ok {
 		return cell.Value{}, false
 	}
-
-	switch call.Name {
-	case "SUM", "COUNT", "AVERAGE":
-		if !e.prof.Opt.SharedComputation || len(call.Args) != 1 {
-			return cell.Value{}, false
-		}
-		col, r0, r1, ok := singleColumnRange(call.Args[0])
-		if !ok {
+	col, r0, r1 := u.Col, u.R0, u.R1
+	switch u.Kind {
+	case plan.AggUse:
+		if !e.prof.Opt.SharedComputation {
 			return cell.Value{}, false
 		}
 		if !e.plannedPrefix(s, col) {
@@ -334,7 +301,7 @@ func (st *optState) fastEval(e *Engine, s *sheet.Sheet, c *formula.Compiled) (ce
 		if rec {
 			e.driftRecord(gatePrefixAgg, pred, e.meter.Sub(snap))
 		}
-		switch call.Name {
+		switch u.Fn {
 		case "SUM":
 			return cell.Num(p.Sum(r0, r1)), true
 		case "COUNT":
@@ -347,23 +314,15 @@ func (st *optState) fastEval(e *Engine, s *sheet.Sheet, c *formula.Compiled) (ce
 			return cell.Num(avg), true
 		}
 
-	case "COUNTIF":
-		if !e.prof.Opt.HashIndex || len(call.Args) != 2 {
-			return cell.Value{}, false
-		}
-		col, r0, r1, ok := singleColumnRange(call.Args[0])
-		if !ok {
-			return cell.Value{}, false
-		}
-		lit, ok := literalValue(call.Args[1])
-		if !ok {
+	case plan.CountIfUse:
+		if !e.prof.Opt.HashIndex {
 			return cell.Value{}, false
 		}
 		if !e.plannedCountIfIndex(s, col) {
 			// Vetoed by the cost plan: too few uses to amortize the index.
 			return cell.Value{}, false
 		}
-		return st.countIfIndexed(e, s, col, r0, r1, lit)
+		return st.countIfIndexed(e, s, col, r0, r1, u.Crit)
 	}
 	return cell.Value{}, false
 }
@@ -453,37 +412,23 @@ func (st *optState) noteFormulaResult(e *Engine, s *sheet.Sheet, at cell.Addr, c
 	if !e.prof.Opt.IncrementalAggregates {
 		return
 	}
-	call, isCall := c.Root.(formula.CallNode)
-	if !isCall {
+	u, ok := plan.Classify(c.Root, 0, 0)
+	if !ok {
 		return
 	}
-	switch call.Name {
-	case "COUNTIF":
-		if len(call.Args) != 2 {
-			return
-		}
-		col, r0, r1, ok := singleColumnRange(call.Args[0])
-		if !ok {
-			return
-		}
-		lit, ok := literalValue(call.Args[1])
-		if !ok || !v.IsNumber() {
+	col, r0, r1 := u.Col, u.R0, u.R1
+	switch u.Kind {
+	case plan.CountIfUse:
+		if !v.IsNumber() {
 			return
 		}
 		st.aggs[at] = &aggMat{
 			kind: aggCountIf,
 			rng:  cell.ColRange(col, r0, r1),
-			crit: formula.CompileCriterion(lit),
+			crit: formula.CompileCriterion(u.Crit),
 			n:    v.Num,
 		}
-	case "SUM", "COUNT", "AVERAGE":
-		if len(call.Args) != 1 {
-			return
-		}
-		col, r0, r1, ok := singleColumnRange(call.Args[0])
-		if !ok {
-			return
-		}
+	case plan.AggUse:
 		p := st.prefixFor(e, s, col)
 		if p.Errors(r0, r1) > 0 {
 			// The range's error cells make the aggregate an error value;
@@ -494,7 +439,7 @@ func (st *optState) noteFormulaResult(e *Engine, s *sheet.Sheet, at cell.Addr, c
 		m := &aggMat{rng: cell.ColRange(col, r0, r1)}
 		m.sum = p.Sum(r0, r1)
 		m.n = float64(p.Count(r0, r1))
-		switch call.Name {
+		switch u.Fn {
 		case "SUM":
 			m.kind = aggSum
 		case "COUNT":

@@ -400,7 +400,7 @@ func TestOptimizationsAnyZero(t *testing.T) {
 }
 
 func TestInstallPrewarmsSharedAggregateColumns(t *testing.T) {
-	// The install pre-flight (analyze.SharedColumnAggregates wired into
+	// The install pre-flight (plan.SharedAggColumns wired into
 	// buildOptState) must detect columns that several formulas aggregate
 	// and build their prefix indexes eagerly: the first post-install
 	// aggregate over such a column is then a pure index probe.

@@ -1,11 +1,6 @@
 package engine
 
 import (
-	"sync"
-
-	"repro/internal/cell"
-	"repro/internal/costmodel"
-	"repro/internal/formula"
 	"repro/internal/sheet"
 )
 
@@ -18,10 +13,11 @@ import (
 // certificate (internal/interfere) stages cleanly and the region graph can
 // sequence it, regions within one certified stage evaluate concurrently via
 // the runtime-checked scheduler. Sheets that cannot be certified — volatile
-// or computed references, region cycles, per-cell cycles — fall back to
-// conservative per-cell dependency leveling. Both paths are version-keyed
-// to the formula set, so no edit (including a region SplitAt) can ever
-// replay a stale schedule.
+// or computed references, region cycles, per-cell cycles — recalculate
+// serially through the calc chain, which keeps the derived state (indexes,
+// prefix sums, materialized aggregates) in step with every changed result.
+// The certified path is version-keyed to the formula set, so no edit
+// (including a region SplitAt) can ever replay a stale schedule.
 //
 // Results are identical to Recalculate; only wall time changes. The
 // simulated clock is unaffected by parallelism (simulated time models the
@@ -42,99 +38,6 @@ func (e *Engine) RecalculateParallel(s *sheet.Sheet, workers int) (Result, error
 		}
 		return t.finish(), nil
 	}
-	e.recalcLevels(s, order, cyclic, workers)
+	e.evalChain(s, order, cyclic, &e.meter)
 	return t.finish(), nil
-}
-
-// recalcLevels is the uncertified fallback: formulae are grouped into
-// per-cell dependency levels; within a level all formulae are independent
-// and evaluate concurrently, with per-worker meters merged at the end.
-func (e *Engine) recalcLevels(s *sheet.Sheet, order, cyclic []cell.Addr, workers int) {
-	// Assign dependency levels: a formula evaluates one level after the
-	// deepest formula it reads. Small ranges resolve exactly; a formula
-	// with a large-range precedent is conservatively placed after
-	// everything seen so far (correct, loses some parallelism — the
-	// benchmark's huge aggregates depend on whole columns anyway).
-	level := make(map[cell.Addr]int, len(order))
-	g := e.graph(s)
-	maxLevel := 0
-	seenMax := 0
-	for _, at := range order {
-		lv := 0
-		for _, r := range g.Precedents(at) {
-			if r.Cells() > 64 {
-				if seenMax > lv-1 {
-					lv = seenMax + 1
-				}
-				continue
-			}
-			for row := r.Start.Row; row <= r.End.Row; row++ {
-				for col := r.Start.Col; col <= r.End.Col; col++ {
-					if plv, ok := level[cell.Addr{Row: row, Col: col}]; ok && plv+1 > lv {
-						lv = plv + 1
-					}
-				}
-			}
-		}
-		level[at] = lv
-		if lv > maxLevel {
-			maxLevel = lv
-		}
-		if lv > seenMax {
-			seenMax = lv
-		}
-	}
-	buckets := make([][]cell.Addr, maxLevel+1)
-	for _, at := range order {
-		lv := level[at]
-		buckets[lv] = append(buckets[lv], at)
-	}
-
-	meters := make([]costmodel.Meter, workers)
-	for _, bucket := range buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		var wg sync.WaitGroup
-		chunk := (len(bucket) + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			if lo >= len(bucket) {
-				break
-			}
-			hi := lo + chunk
-			if hi > len(bucket) {
-				hi = len(bucket)
-			}
-			wg.Add(1)
-			go func(w int, part []cell.Addr) {
-				defer wg.Done()
-				env := &formula.Env{
-					Src:    s, // raw sheet: calc-pass semantics, no read-through
-					Meter:  &meters[w],
-					Now:    e.nowFn,
-					Lookup: e.prof.Lookup,
-				}
-				for _, at := range part {
-					fc, ok := s.Formula(at)
-					if !ok {
-						continue
-					}
-					env.DR, env.DC = fc.DeltaAt(at)
-					s.SetCachedValue(at, formula.Eval(fc.Code, env))
-				}
-			}(w, bucket[lo:hi])
-		}
-		wg.Wait()
-	}
-	for _, at := range cyclic {
-		s.SetCachedValue(at, cell.Errorf(cell.ErrCycle))
-	}
-	for w := range meters {
-		for m := costmodel.Metric(0); int(m) < costmodel.NumMetrics; m++ {
-			if n := meters[w].Count(m); n != 0 {
-				e.meter.Add(m, n)
-			}
-		}
-	}
 }

@@ -96,3 +96,45 @@ func TestParallelRecalcNil(t *testing.T) {
 		t.Error("nil sheet must error")
 	}
 }
+
+// TestParallelRecalcKeepsIndexesCurrent is the regression test for the
+// uncertified parallel path writing results behind the derived state's
+// back: volatile fill formulas keep the sheet uncertified, so
+// RecalculateParallel evaluates them through the serial chain, and a SUM
+// inserted afterwards must read the recalculated values, not a prefix
+// index built over the old ones.
+func TestParallelRecalcKeepsIndexesCurrent(t *testing.T) {
+	for _, profile := range []string{"optimized", "planned"} {
+		t.Run(profile, func(t *testing.T) {
+			s := sheet.New("p", 110, 6)
+			for r := 1; r <= 100; r++ {
+				s.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
+			}
+			wb := sheet.NewWorkbook()
+			if err := wb.Add(s); err != nil {
+				t.Fatal(err)
+			}
+			eng := New(Profiles()[profile])
+			if err := eng.Install(wb); err != nil {
+				t.Fatal(err)
+			}
+			for r := 2; r <= 101; r++ {
+				mustInsert(t, eng, s, fmt.Sprintf("B%d", r), fmt.Sprintf("=RAND()*100+A%d", r))
+			}
+			mustInsert(t, eng, s, "D1", "=SUM(B2:B101)")
+			if _, err := eng.RecalculateParallel(s, 4); err != nil {
+				t.Fatal(err)
+			}
+			want := 0.0
+			for r := 1; r <= 100; r++ {
+				want += s.Value(cell.Addr{Row: r, Col: 1}).Num
+			}
+			if got := mustInsert(t, eng, s, "E1", "=SUM(B2:B101)"); got.Num != want {
+				t.Errorf("SUM after parallel recalc = %v, want %v (scan of cached values)", got.Num, want)
+			}
+			if err := checkDerived(eng); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}

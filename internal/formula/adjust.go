@@ -14,10 +14,6 @@ import (
 // be recompiled; the engine re-anchors it at the formula's post-edit
 // address.
 
-// refAdjuster maps one effective reference to its post-edit form; dead
-// reports a reference into a deleted region.
-type refAdjuster func(r cell.Ref) (out cell.Ref, dead bool)
-
 // AdjustForRowChange renders the formula's post-edit text for a formula
 // hosted with displacement (dr, dc) from its authored origin.
 //
@@ -26,43 +22,32 @@ type refAdjuster func(r cell.Ref) (out cell.Ref, dead bool)
 //   - delta < 0: rows [boundary, boundary-delta) were deleted; references
 //     into the region die, references below shift up.
 func AdjustForRowChange(c *Compiled, dr, dc int, boundary, delta int) string {
-	return adjustText(c, func(r cell.Ref) (cell.Ref, bool) {
-		eff := effective(r, dr, dc)
-		row, dead := shiftCoord(eff.Addr.Row, boundary, delta)
-		eff.Addr.Row = row
-		return eff, dead || !eff.Addr.Valid()
-	}, dr, dc, boundary, delta, true)
+	return adjustText(c, &printer{style: adjusted, dr: dr, dc: dc, boundary: boundary, delta: delta, rowAxis: true})
 }
 
 // AdjustForColChange is the column-axis counterpart of AdjustForRowChange.
 func AdjustForColChange(c *Compiled, dr, dc int, boundary, delta int) string {
-	return adjustText(c, func(r cell.Ref) (cell.Ref, bool) {
-		eff := effective(r, dr, dc)
-		col, dead := shiftCoord(eff.Addr.Col, boundary, delta)
-		eff.Addr.Col = col
-		return eff, dead || !eff.Addr.Valid()
-	}, dr, dc, boundary, delta, false)
+	return adjustText(c, &printer{style: adjusted, dr: dr, dc: dc, boundary: boundary, delta: delta})
 }
 
-// EffectiveRef resolves a reference's displaced address — the relative-
-// offset normal form shared by structural adjustment (here), copy-paste
-// rewriting (RewriteRelative), and the R1C1 canonicalizer (r1c1.go):
-// relative components shift by the hosting cell's displacement (dr, dc)
-// from the formula's authored origin, absolute components are untouched.
-func EffectiveRef(r cell.Ref, dr, dc int) cell.Ref {
-	return effective(r, dr, dc)
+func adjustText(c *Compiled, p *printer) string {
+	var b strings.Builder
+	b.WriteByte('=')
+	p.node(&b, c.Root)
+	return b.String()
 }
 
-// effective resolves a reference's displaced address, keeping abs flags.
-func effective(r cell.Ref, dr, dc int) cell.Ref {
-	eff := r
-	if !r.AbsRow {
-		eff.Addr.Row += dr
+// adjust maps one reference to its post-edit form: the effective
+// (displaced) coordinate on the edit axis moves past the edit. dead
+// reports a reference into a deleted region or off the sheet.
+func (p *printer) adjust(r cell.Ref) (out cell.Ref, dead bool) {
+	out = r.Shift(p.dr, p.dc)
+	x := &out.Addr.Col
+	if p.rowAxis {
+		x = &out.Addr.Row
 	}
-	if !r.AbsCol {
-		eff.Addr.Col += dc
-	}
-	return eff
+	*x, dead = shiftCoord(*x, p.boundary, p.delta)
+	return out, dead || !out.Addr.Valid()
 }
 
 // shiftCoord applies the structural shift to one coordinate.
@@ -84,92 +69,44 @@ func shiftCoord(x, boundary, delta int) (int, bool) {
 	return x, false
 }
 
-func adjustText(c *Compiled, adj refAdjuster, dr, dc, boundary, delta int, rowAxis bool) string {
-	var b strings.Builder
-	b.WriteByte('=')
-	writeAdjusted(&b, c.Root, adj, dr, dc, boundary, rowAxis)
-	return b.String()
+func (p *printer) adjustedRef(b canonWriter, r cell.Ref) {
+	out, dead := p.adjust(r)
+	if dead {
+		b.WriteString(cell.ErrRef)
+		return
+	}
+	b.WriteString(out.String())
 }
 
-func writeAdjusted(b *strings.Builder, n Node, adj refAdjuster, dr, dc, boundary int, rowAxis bool) {
-	switch t := n.(type) {
-	case RefNode:
-		out, dead := adj(t.Ref)
-		if dead {
-			b.WriteString(cell.ErrRef)
-			return
-		}
-		b.WriteString(out.String())
-	case RangeNode:
-		// Endpoints clamp instead of erroring so ranges shrink over a
-		// deletion; only a fully deleted range yields #REF!.
-		from, fromDead := adj(t.From)
-		to, toDead := adj(t.To)
-		if fromDead && toDead {
-			b.WriteString(cell.ErrRef)
-			return
-		}
-		if fromDead {
-			if rowAxis {
-				from.Addr.Row = boundary
-			} else {
-				from.Addr.Col = boundary
-			}
-		}
-		if toDead {
-			if rowAxis {
-				to.Addr.Row = boundary - 1
-			} else {
-				to.Addr.Col = boundary - 1
-			}
-			if !to.Addr.Valid() {
-				b.WriteString(cell.ErrRef)
-				return
-			}
-		}
-		b.WriteString(from.String())
-		b.WriteByte(':')
-		b.WriteString(to.String())
-	case CallNode:
-		b.WriteString(t.Name)
-		b.WriteByte('(')
-		for i, a := range t.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeAdjusted(b, a, adj, dr, dc, boundary, rowAxis)
-		}
-		b.WriteByte(')')
-	case ExtRefNode:
-		// Structural edits on the host sheet do not move foreign-sheet
-		// cells: the displaced (effective) reference is pinned as-is, with
-		// no boundary shift, so the formula keeps reading the same foreign
-		// cells after its host row/column moves.
-		b.WriteString(t.Sheet)
-		b.WriteByte('!')
-		b.WriteString(effective(t.From, dr, dc).String())
-		if t.IsRange {
-			b.WriteByte(':')
-			b.WriteString(effective(t.To, dr, dc).String())
-		}
-	case BinaryNode:
-		b.WriteByte('(')
-		writeAdjusted(b, t.L, adj, dr, dc, boundary, rowAxis)
-		b.WriteString(t.Op.String())
-		writeAdjusted(b, t.R, adj, dr, dc, boundary, rowAxis)
-		b.WriteByte(')')
-	case UnaryNode:
-		if t.Op == "%" {
-			b.WriteByte('(')
-			writeAdjusted(b, t.X, adj, dr, dc, boundary, rowAxis)
-			b.WriteString("%)")
-			return
-		}
-		b.WriteByte('(')
-		b.WriteString(t.Op)
-		writeAdjusted(b, t.X, adj, dr, dc, boundary, rowAxis)
-		b.WriteByte(')')
-	default:
-		t.writeCanonical(b)
+// adjustedRange prints a range through the edit. Endpoints clamp instead
+// of erroring so ranges shrink over a deletion; only a fully deleted range
+// yields #REF!.
+func (p *printer) adjustedRange(b canonWriter, t RangeNode) {
+	from, fromDead := p.adjust(t.From)
+	to, toDead := p.adjust(t.To)
+	if fromDead && toDead {
+		b.WriteString(cell.ErrRef)
+		return
 	}
+	if fromDead {
+		if p.rowAxis {
+			from.Addr.Row = p.boundary
+		} else {
+			from.Addr.Col = p.boundary
+		}
+	}
+	if toDead {
+		if p.rowAxis {
+			to.Addr.Row = p.boundary - 1
+		} else {
+			to.Addr.Col = p.boundary - 1
+		}
+		if !to.Addr.Valid() {
+			b.WriteString(cell.ErrRef)
+			return
+		}
+	}
+	b.WriteString(from.String())
+	b.WriteByte(':')
+	b.WriteString(to.String())
 }

@@ -2,8 +2,6 @@ package formula
 
 import (
 	"fmt"
-	"io"
-	"strconv"
 	"strings"
 
 	"repro/internal/cell"
@@ -15,20 +13,9 @@ import (
 // *computation* is exactly what the benchmarked systems do not do, and is
 // modeled separately).
 type Node interface {
-	// writeCanonical appends the canonical text of the node: uppercase
-	// function names, '.'-normalized numbers, minimal parentheses via full
-	// parenthesization of operator nodes. Canonical text is the basis of
-	// formula fingerprints (§5.4 redundant-computation detection).
-	writeCanonical(b canonWriter)
-}
-
-// canonWriter is the sink canonical (or reference-shifted) formula text
-// streams into: a *strings.Builder when the text itself is wanted, or the
-// hashing adapter in visit.go when only a fingerprint is (so subtree
-// hashing allocates no intermediate strings).
-type canonWriter interface {
-	io.StringWriter
-	io.ByteWriter
+	// node marks the AST node types; the printer (print.go) and the
+	// evaluator switch over them.
+	node()
 }
 
 // NumberLit is a numeric literal.
@@ -57,6 +44,12 @@ type RangeNode struct {
 
 // Range returns the canonical cell range covered by the node.
 func (r RangeNode) Range() cell.Range { return cell.RangeOf(r.From.Addr, r.To.Addr) }
+
+// Shift returns the range the node reads from a cell displaced (dr, dc)
+// from where the formula was written: the range form of cell.Ref.Shift.
+func (r RangeNode) Shift(dr, dc int) cell.Range {
+	return cell.RangeOf(r.From.Shift(dr, dc).Addr, r.To.Shift(dr, dc).Addr)
+}
 
 // ExtRefNode is a cross-sheet reference such as accounts!B2 or
 // ledger!A2:A500. The sheet name must be identifier-like (no quoting
@@ -124,83 +117,23 @@ type UnaryNode struct {
 	X  Node
 }
 
-func (n NumberLit) writeCanonical(b canonWriter) {
-	b.WriteString(strconv.FormatFloat(float64(n), 'g', -1, 64))
-}
-
-func (n StringLit) writeCanonical(b canonWriter) {
-	b.WriteByte('"')
-	b.WriteString(strings.ReplaceAll(string(n), `"`, `""`))
-	b.WriteByte('"')
-}
-
-func (n BoolLit) writeCanonical(b canonWriter) {
-	if n {
-		b.WriteString("TRUE")
-	} else {
-		b.WriteString("FALSE")
-	}
-}
-
-func (n ErrorLit) writeCanonical(b canonWriter) { b.WriteString(string(n)) }
-
-func (n RefNode) writeCanonical(b canonWriter) { b.WriteString(n.Ref.String()) }
-
-func (n RangeNode) writeCanonical(b canonWriter) {
-	b.WriteString(n.From.String())
-	b.WriteByte(':')
-	b.WriteString(n.To.String())
-}
-
-func (n ExtRefNode) writeCanonical(b canonWriter) {
-	b.WriteString(n.Sheet)
-	b.WriteByte('!')
-	b.WriteString(n.From.String())
-	if n.IsRange {
-		b.WriteByte(':')
-		b.WriteString(n.To.String())
-	}
-}
-
-func (n CallNode) writeCanonical(b canonWriter) {
-	b.WriteString(n.Name)
-	b.WriteByte('(')
-	for i, a := range n.Args {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		a.writeCanonical(b)
-	}
-	b.WriteByte(')')
-}
-
-func (n BinaryNode) writeCanonical(b canonWriter) {
-	b.WriteByte('(')
-	n.L.writeCanonical(b)
-	b.WriteString(n.Op.String())
-	n.R.writeCanonical(b)
-	b.WriteByte(')')
-}
-
-func (n UnaryNode) writeCanonical(b canonWriter) {
-	if n.Op == "%" {
-		b.WriteByte('(')
-		n.X.writeCanonical(b)
-		b.WriteString("%)")
-		return
-	}
-	b.WriteByte('(')
-	b.WriteString(n.Op)
-	n.X.writeCanonical(b)
-	b.WriteByte(')')
-}
+func (NumberLit) node()  {}
+func (StringLit) node()  {}
+func (BoolLit) node()    {}
+func (ErrorLit) node()   {}
+func (RefNode) node()    {}
+func (RangeNode) node()  {}
+func (ExtRefNode) node() {}
+func (CallNode) node()   {}
+func (BinaryNode) node() {}
+func (UnaryNode) node()  {}
 
 // Canonical returns the canonical text of a formula AST (without the leading
 // '='). Two formulae with equal canonical text are guaranteed to compute the
 // same value on the same sheet.
 func Canonical(n Node) string {
 	var b strings.Builder
-	n.writeCanonical(&b)
+	(&printer{}).node(&b, n)
 	return b.String()
 }
 

@@ -133,22 +133,12 @@ func (c *Compiled) PrecedentCells() int {
 // this for dependency-graph registration.
 func (c *Compiled) PrecedentRanges(dr, dc int) []cell.Range {
 	out := make([]cell.Range, 0, len(c.Refs)+len(c.Ranges))
-	shift := func(r cell.Ref) cell.Addr {
-		a := r.Addr
-		if !r.AbsRow {
-			a.Row += dr
-		}
-		if !r.AbsCol {
-			a.Col += dc
-		}
-		return a
-	}
 	for _, r := range c.Refs {
-		out = append(out, cell.SingleCell(shift(r)))
+		out = append(out, cell.SingleCell(r.Shift(dr, dc).Addr))
 	}
 	walk(c.Root, func(n Node) {
 		if t, ok := n.(RangeNode); ok {
-			out = append(out, cell.RangeOf(shift(t.From), shift(t.To)))
+			out = append(out, t.Shift(dr, dc))
 		}
 	})
 	return out
@@ -199,69 +189,6 @@ func (c *Compiled) RowLocal(at cell.Addr) bool {
 func (c *Compiled) RewriteRelative(dr, dc int) string {
 	var b strings.Builder
 	b.WriteByte('=')
-	writeRewritten(&b, c.Root, dr, dc)
+	(&printer{dr: dr, dc: dc}).node(&b, c.Root)
 	return b.String()
-}
-
-func writeRewritten(b canonWriter, n Node, dr, dc int) {
-	switch t := n.(type) {
-	case RefNode:
-		writeShiftedRef(b, t.Ref, dr, dc)
-	case RangeNode:
-		writeShiftedRef(b, t.From, dr, dc)
-		b.WriteByte(':')
-		writeShiftedRef(b, t.To, dr, dc)
-	case ExtRefNode:
-		b.WriteString(t.Sheet)
-		b.WriteByte('!')
-		writeShiftedRef(b, t.From, dr, dc)
-		if t.IsRange {
-			b.WriteByte(':')
-			writeShiftedRef(b, t.To, dr, dc)
-		}
-	case CallNode:
-		b.WriteString(t.Name)
-		b.WriteByte('(')
-		for i, a := range t.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeRewritten(b, a, dr, dc)
-		}
-		b.WriteByte(')')
-	case BinaryNode:
-		b.WriteByte('(')
-		writeRewritten(b, t.L, dr, dc)
-		b.WriteString(t.Op.String())
-		writeRewritten(b, t.R, dr, dc)
-		b.WriteByte(')')
-	case UnaryNode:
-		if t.Op == "%" {
-			b.WriteByte('(')
-			writeRewritten(b, t.X, dr, dc)
-			b.WriteString("%)")
-			return
-		}
-		b.WriteByte('(')
-		b.WriteString(t.Op)
-		writeRewritten(b, t.X, dr, dc)
-		b.WriteByte(')')
-	default:
-		t.writeCanonical(b)
-	}
-}
-
-func writeShiftedRef(b canonWriter, r cell.Ref, dr, dc int) {
-	s := r
-	if !s.AbsRow {
-		s.Addr.Row += dr
-	}
-	if !s.AbsCol {
-		s.Addr.Col += dc
-	}
-	if !s.Addr.Valid() {
-		b.WriteString(cell.ErrRef)
-		return
-	}
-	b.WriteString(s.String())
 }

@@ -67,24 +67,6 @@ func (e *Env) external(name string) Source {
 	return e.Ext(name)
 }
 
-// shift resolves a reference under the environment's displacement:
-// absolute components stay put, relative components translate.
-func (e *Env) shift(r cell.Ref) cell.Addr {
-	a := r.Addr
-	if !r.AbsRow {
-		a.Row += e.DR
-	}
-	if !r.AbsCol {
-		a.Col += e.DC
-	}
-	return a
-}
-
-// shiftRange resolves a range under the displacement.
-func (e *Env) shiftRange(n RangeNode) cell.Range {
-	return cell.RangeOf(e.shift(n.From), e.shift(n.To))
-}
-
 func (e *Env) add(m costmodel.Metric, n int64) {
 	if e.Meter != nil {
 		e.Meter.Add(m, n)
@@ -212,19 +194,19 @@ func evalNode(n Node, env *Env) operand {
 	case ErrorLit:
 		return scalarOp(cell.Errorf(string(t)))
 	case RefNode:
-		return scalarOp(env.value(env.shift(t.Ref)))
+		return scalarOp(env.value(t.Ref.Shift(env.DR, env.DC).Addr))
 	case RangeNode:
-		return operand{rng: env.shiftRange(t), isRange: true}
+		return operand{rng: t.Shift(env.DR, env.DC), isRange: true}
 	case ExtRefNode:
 		src := env.external(t.Sheet)
 		if src == nil {
 			return scalarOp(cell.Errorf(cell.ErrRef))
 		}
 		if !t.IsRange {
-			return scalarOp(env.valueFrom(src, env.shift(t.From)))
+			return scalarOp(env.valueFrom(src, t.From.Shift(env.DR, env.DC).Addr))
 		}
 		return operand{
-			rng:     cell.RangeOf(env.shift(t.From), env.shift(t.To)),
+			rng:     RangeNode{From: t.From, To: t.To}.Shift(env.DR, env.DC),
 			isRange: true,
 			src:     src,
 		}

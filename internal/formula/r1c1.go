@@ -32,7 +32,7 @@ import (
 // mirroring Canonical and ShiftedText.
 func R1C1Text(n Node, dr, dc int, host cell.Addr) string {
 	var b strings.Builder
-	writeR1C1(&b, n, dr, dc, host)
+	(&printer{style: r1c1, dr: dr, dc: dc, host: host}).node(&b, n)
 	return b.String()
 }
 
@@ -41,67 +41,13 @@ func R1C1Text(n Node, dr, dc int, host cell.Addr) string {
 // on this and breaks collisions with the text.
 func R1C1Hash(n Node, dr, dc int, host cell.Addr) uint64 {
 	h := hashWriter{fnv.New64a()}
-	writeR1C1(h, n, dr, dc, host)
+	(&printer{style: r1c1, dr: dr, dc: dc, host: host}).node(h, n)
 	return h.Sum64()
 }
 
-func writeR1C1(b canonWriter, n Node, dr, dc int, host cell.Addr) {
-	switch t := n.(type) {
-	case RefNode:
-		writeR1C1Ref(b, t.Ref, dr, dc, host)
-	case RangeNode:
-		writeR1C1Ref(b, t.From, dr, dc, host)
-		b.WriteByte(':')
-		writeR1C1Ref(b, t.To, dr, dc, host)
-	case ExtRefNode:
-		// Cross-sheet references render their host-relative R1C1 form
-		// behind the sheet name: two hosts share an R1C1 text only when
-		// their effective foreign reads coincide under displacement.
-		b.WriteString(t.Sheet)
-		b.WriteByte('!')
-		writeR1C1Ref(b, t.From, dr, dc, host)
-		if t.IsRange {
-			b.WriteByte(':')
-			writeR1C1Ref(b, t.To, dr, dc, host)
-		}
-	case CallNode:
-		b.WriteString(t.Name)
-		b.WriteByte('(')
-		for i, a := range t.Args {
-			if i > 0 {
-				b.WriteByte(',')
-			}
-			writeR1C1(b, a, dr, dc, host)
-		}
-		b.WriteByte(')')
-	case BinaryNode:
-		b.WriteByte('(')
-		writeR1C1(b, t.L, dr, dc, host)
-		b.WriteString(t.Op.String())
-		writeR1C1(b, t.R, dr, dc, host)
-		b.WriteByte(')')
-	case UnaryNode:
-		if t.Op == "%" {
-			b.WriteByte('(')
-			writeR1C1(b, t.X, dr, dc, host)
-			b.WriteString("%)")
-			return
-		}
-		b.WriteByte('(')
-		b.WriteString(t.Op)
-		writeR1C1(b, t.X, dr, dc, host)
-		b.WriteByte(')')
-	default:
-		t.writeCanonical(b)
-	}
-}
-
-func writeR1C1Ref(b canonWriter, r cell.Ref, dr, dc int, host cell.Addr) {
-	eff := EffectiveRef(r, dr, dc)
-	if !eff.Addr.Valid() {
-		b.WriteString(cell.ErrRef)
-		return
-	}
+// writeR1C1Ref prints an effective (displaced, on-sheet) reference
+// relative to the host cell.
+func writeR1C1Ref(b canonWriter, eff cell.Ref, host cell.Addr) {
 	b.WriteByte('R')
 	writeR1C1Coord(b, eff.Addr.Row, host.Row, eff.AbsRow)
 	b.WriteByte('C')

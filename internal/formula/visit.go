@@ -4,6 +4,8 @@ import (
 	"hash"
 	"hash/fnv"
 	"strings"
+
+	"repro/internal/cell"
 )
 
 // This file is the public AST-inspection surface used by the static
@@ -31,6 +33,20 @@ func Children(n Node) []Node {
 	}
 }
 
+// LiteralValue returns the value of a number, string or boolean literal
+// node; ok is false for every other node.
+func LiteralValue(n Node) (v cell.Value, ok bool) {
+	switch t := n.(type) {
+	case NumberLit:
+		return cell.Num(float64(t)), true
+	case StringLit:
+		return cell.Str(string(t)), true
+	case BoolLit:
+		return cell.Boolean(bool(t)), true
+	}
+	return cell.Value{}, false
+}
+
 // IsVolatileFunc reports whether the named built-in (uppercase) is
 // volatile — its value can change without any precedent changing.
 func IsVolatileFunc(name string) bool { return volatileFuncs[name] }
@@ -43,7 +59,7 @@ func IsVolatileFunc(name string) bool { return volatileFuncs[name] }
 // (the precursor to the paper's §5.3/§6 shared-computation optimization).
 func ShiftedText(n Node, dr, dc int) string {
 	var b strings.Builder
-	writeRewritten(&b, n, dr, dc)
+	(&printer{dr: dr, dc: dc}).node(&b, n)
 	return b.String()
 }
 
@@ -52,12 +68,12 @@ func ShiftedText(n Node, dr, dc int) string {
 // into the hash. Analyzers that bucket millions of subtrees key on this.
 func SubtreeHash(n Node, dr, dc int) uint64 {
 	h := hashWriter{fnv.New64a()}
-	writeRewritten(h, n, dr, dc)
+	(&printer{dr: dr, dc: dc}).node(h, n)
 	return h.Sum64()
 }
 
-// hashWriter adapts a hash.Hash64 to the canonWriter sink the canonical
-// writers stream into.
+// hashWriter adapts a hash.Hash64 to the canonWriter sink the printer
+// streams into.
 type hashWriter struct {
 	hash.Hash64
 }

@@ -29,7 +29,7 @@ import (
 var RangeMap = &Analyzer{
 	Name:        "rangemap",
 	Doc:         "map iteration order must not leak into returned slices",
-	DefaultDirs: []string{"internal/graph", "internal/analyze", "internal/absint", "internal/typecheck", "internal/obs", "internal/perfbase"},
+	DefaultDirs: []string{"internal/graph", "internal/analyze", "internal/absint", "internal/typecheck", "internal/plan", "internal/obs", "internal/perfbase"},
 	Run: func(pkg *Package) []Diagnostic {
 		return CheckFiles(pkg.Fset, pkg.Files)
 	},

@@ -30,7 +30,7 @@ import (
 var SortedOut = &Analyzer{
 	Name:        "sortedout",
 	Doc:         "map iteration order must not pick slice slots or grow returned slices",
-	DefaultDirs: []string{"internal/regions", "internal/graph", "internal/analyze", "internal/obs", "internal/perfbase"},
+	DefaultDirs: []string{"internal/regions", "internal/graph", "internal/analyze", "internal/plan", "internal/obs", "internal/perfbase"},
 	Run: func(pkg *Package) []Diagnostic {
 		mapFields := collectMapFields(pkg.Files)
 		var diags []Diagnostic

@@ -44,8 +44,8 @@ func scaleMeter(m costmodel.Meter, div int64) costmodel.Meter {
 	return out
 }
 
-// ceilLog2 returns ceil(log2(n)) for n >= 1, 0 otherwise.
-func ceilLog2(n int64) int64 {
+// CeilLog2 returns ceil(log2(n)) for n >= 1, 0 otherwise.
+func CeilLog2(n int64) int64 {
 	if n <= 1 {
 		return 0
 	}
@@ -61,12 +61,12 @@ const (
 	mEval    = int64(costmodel.FormulaEval)
 )
 
-// scanLookupWork prices one linear-scan evaluation of a lookup over n key
+// ScanLookupWork prices one linear-scan evaluation of a lookup over n key
 // cells. Exact matches under the early-exit policy terminate at the
 // expected hit, half way; approximate and descending matches scan the full
 // span. VLOOKUP reads one result cell on a hit; MATCH returns the
 // position.
-func scanLookupWork(fn string, mode int, n int64) costmodel.Meter {
+func ScanLookupWork(fn string, mode int, n int64) costmodel.Meter {
 	cells := n
 	if mode == 0 {
 		cells = (n + 1) / 2
@@ -78,13 +78,13 @@ func scanLookupWork(fn string, mode int, n int64) costmodel.Meter {
 	return m
 }
 
-// binSearchLookupWork prices one binary-search evaluation: one probe
+// BinSearchLookupWork prices one binary-search evaluation: one probe
 // (touch + compare) per halving, plus the result read for VLOOKUP. When
 // the ascending run is not statically certified, the engine's first use
 // pays a verification rescan of the span (one touch per cell), amortized
 // over the site's instance count here.
-func binSearchLookupWork(fn string, n int64, static bool, count int64) costmodel.Meter {
-	probes := ceilLog2(n) + 1
+func BinSearchLookupWork(fn string, n int64, static bool, count int64) costmodel.Meter {
+	probes := CeilLog2(n) + 1
 	m := mk(mTouch, probes, mCompare, probes)
 	if fn == "VLOOKUP" {
 		m.Add(costmodel.CellTouch, 1)
@@ -125,7 +125,7 @@ func hashCountWork(n, matches, count int64) costmodel.Meter {
 // build amortized, then two descents (a CountLE/CountLT pair).
 func btreeCountWork(n, count int64) costmodel.Meter {
 	m := scaleMeter(mk(mTouch, n, mProbe, n), count)
-	m.Add(costmodel.IndexProbe, 2*(ceilLog2(n)+1))
+	m.Add(costmodel.IndexProbe, 2*(CeilLog2(n)+1))
 	m.Add(costmodel.FormulaEval, 1)
 	return m
 }
@@ -148,10 +148,13 @@ func scanAggWork(n int64) costmodel.Meter {
 }
 
 // perCellSequenceWork prices per-cell calc-chain sequencing of f formulas:
-// Kahn propagation plus sort-like ordering comparisons, the same model the
-// analyze package's recalc estimate uses.
+// Kahn propagation plus sort-like ordering comparisons. It approximates
+// graph.AllFormulas with a flat 4 ops per formula plus f·⌈log2 f⌉; the
+// analyze package's EstimateRecalcOps counts the graph's terms instead —
+// one op per precedent range (two past SmallRangeMax), one pop per
+// formula, plus the same f·⌈log2 f⌉.
 func perCellSequenceWork(f int64) costmodel.Meter {
-	return mk(mDepOp, 4*f+f*ceilLog2(f))
+	return mk(mDepOp, 4*f+f*CeilLog2(f))
 }
 
 // regionSequenceWork prices region-level sequencing: the measured

@@ -243,7 +243,7 @@ func planLookup(sheetName string, site *lookupSite, coll *Collector, pr pricer) 
 
 	cands := []Candidate{{
 		Strategy: Scan,
-		Work:     scanLookupWork(site.fn, site.mode, n),
+		Work:     ScanLookupWork(site.fn, site.mode, n),
 		Feasible: true,
 	}}
 
@@ -255,7 +255,7 @@ func planLookup(sheetName string, site *lookupSite, coll *Collector, pr pricer) 
 		bs.Note = "key column not an ascending numeric run"
 	default:
 		bs.Feasible = true
-		bs.Work = binSearchLookupWork(site.fn, n, static, count)
+		bs.Work = BinSearchLookupWork(site.fn, n, static, count)
 		if !static {
 			bs.Note = "first use pays a certification rescan (amortized)"
 		}
@@ -281,11 +281,7 @@ func planLookup(sheetName string, site *lookupSite, coll *Collector, pr pricer) 
 		num(" distinct≈", int64(cs.Distinct)).flag(" sorted=", sorted).flag(" static=", static).String()
 	switch c.Chosen {
 	case BinarySearch:
-		probes := ceilLog2(n) + 1
-		c.serveWork = mk(mTouch, probes, mCompare, probes)
-		if site.fn == "VLOOKUP" {
-			c.serveWork.Add(costmodel.CellTouch, 1)
-		}
+		c.serveWork = BinSearchLookupWork(site.fn, n, true, 1)
 		if !static {
 			c.buildWork = mk(mTouch, n)
 		}
@@ -293,7 +289,7 @@ func planLookup(sheetName string, site *lookupSite, coll *Collector, pr pricer) 
 		c.serveWork = mk(mProbe, cs.ExpectedMatches(n), mTouch, 1)
 		c.buildWork = mk(mTouch, n, mProbe, n)
 	case Scan:
-		c.serveWork = scanLookupWork(site.fn, site.mode, n)
+		c.serveWork = ScanLookupWork(site.fn, site.mode, n)
 	}
 	return c
 }
@@ -330,7 +326,7 @@ func planCountIf(sheetName string, col int, agg *colSiteAgg, coll *Collector, pr
 		c.serveWork = mk(mProbe, cs.ExpectedMatches(n), mEval, 1)
 		c.buildWork = mk(mTouch, n, mProbe, n)
 	case BTreeCount:
-		c.serveWork = mk(mProbe, 2*(ceilLog2(n)+1), mEval, 1)
+		c.serveWork = mk(mProbe, 2*(CeilLog2(n)+1), mEval, 1)
 		c.buildWork = mk(mTouch, n, mProbe, n)
 	case Scan:
 		c.serveWork = scanCountWork(n)
@@ -518,7 +514,7 @@ func predictSheet(sp *SheetPlan, hostName string, set *siteSet, plans map[string
 		if target == "" {
 			target = hostName
 		}
-		work := scanLookupWork(use.fn, use.mode, use.key.Span())
+		work := ScanLookupWork(use.fn, use.mode, use.key.Span())
 		if tp := plans[target]; tp != nil {
 			if c, ok := tp.lookups[use.key]; ok {
 				if cand, ok := c.chosenCandidate(); ok {

@@ -9,244 +9,172 @@ import (
 	"repro/internal/sheet"
 )
 
-// This file enumerates the operation sites a plan decides strategies for,
-// by walking every formula AST once. A site is keyed the way the engine
-// presents it at run time — the concrete key column and row span after
-// shifting relative references to the hosting cell — so absolutely
-// anchored fill columns (the common workload shape) collapse to one site
-// with a high instance count, and the amortization math is exact.
+// This file is the one reader of operation sites out of formula ASTs.
+// EachUse classifies a formula's calls; the plan, the static analyzer
+// (internal/analyze) and the optimized profile's install pre-flight
+// (internal/engine) all consume its uses, so a new site shape or a pricing
+// fix lands here once. A site is keyed the way the engine presents it at
+// run time — the concrete key column and row span after shifting relative
+// references to the hosting cell — so absolutely anchored fill columns
+// (the common workload shape) collapse to one site with a high instance
+// count, and the amortization math is exact.
 
-// lookupUse is the shape of one lookup call: the site it probes, and the
-// function and match mode that price it when the site scans (the
-// linear-cost baseline the chosen strategy replaces in the prediction).
-type lookupUse struct {
-	key    SiteKey
-	target string // sheet holding the key column ("" = host sheet)
-	fn     string // VLOOKUP or MATCH
-	mode   int    // 0 exact, 1 approx ascending, -1 descending
+// UseKind is the shape of one formula site.
+type UseKind uint8
+
+const (
+	// ScanUse is a range or cross-sheet reference no classified call
+	// consumes: every strategy reads all of its cells.
+	ScanUse UseKind = iota
+	// LookupUse is a MATCH (over one column) or VLOOKUP with a literal
+	// match mode and a range table, local or cross-sheet.
+	LookupUse
+	// CountIfUse is a COUNTIF over one local column with a literal
+	// criterion — the shape the engine's index path serves.
+	CountIfUse
+	// AggUse is a SUM, COUNT or AVERAGE of one local single-column range —
+	// the shape prefix sums serve.
+	AggUse
+)
+
+// Use is one site of a formula. Local ranges are shifted to the hosting
+// cell; cross-sheet ones keep the foreign sheet's coordinates.
+type Use struct {
+	Kind UseKind
+	// Fn is the classified call's function name ("" for ScanUse).
+	Fn string
+	// Mode is a lookup's match mode: 0 exact, 1 approximate ascending, -1
+	// descending.
+	Mode int
+	// Sheet is the sheet the range lives on; "" is the host sheet.
+	Sheet string
+	// Col, R0 and R1 are a classified use's key or aggregated column and
+	// its row span.
+	Col, R0, R1 int
+	// Cells is the range argument's cardinality: what a full scan reads.
+	Cells int
+	// Crit is a CountIfUse's literal criterion.
+	Crit cell.Value
 }
 
-// useCount is how many lookup calls of one shape (target, site, fn, mode)
-// the sheet's formulas make: n in all of them, ext in cross-sheet ones.
-type useCount struct {
-	use    lookupUse
-	n, ext int64
-}
+// Span is the row count of a classified use's column span.
+func (u Use) Span() int64 { return int64(u.R1 - u.R0 + 1) }
 
-// siteSet accumulates the distinct sites of one sheet's formula
-// population. It depends on the formula set alone, so a Cache keeps it
-// across value edits; it is O(sites), never O(formulas).
-type siteSet struct {
-	// countIf maps column -> aggregate use (local COUNTIF with a literal
-	// criterion — the shape the engine's index path serves).
-	countIf map[int]*colSiteAgg
-	// aggs maps column -> SUM/COUNT/AVERAGE use (local single-column).
-	aggs map[int]*colSiteAgg
-	// base is the work of evaluating every formula once apart from its
-	// lookup calls (whose cost depends on the chosen strategies); extBase
-	// is the share of cross-sheet formulas. uses counts the lookup calls,
-	// in sorted key order: Build merges them into lookup sites, and the
-	// predictor adds count × the chosen work.
-	base, extBase costmodel.Meter
-	uses          []useCount
-}
-
-type colSiteAgg struct {
-	fn    string
-	count int
-	// span is the largest row span any instance covers (pricing uses the
-	// worst case).
-	r0, r1 int
-	// equality is false when some COUNTIF instance uses a relational
-	// criterion (the hash index cannot serve it; the B-tree can).
-	equality bool
-}
-
-// collectSites walks the sheet's formulas once.
-func collectSites(s *sheet.Sheet) *siteSet {
-	set := &siteSet{
-		countIf: make(map[int]*colSiteAgg),
-		aggs:    make(map[int]*colSiteAgg),
-	}
-	uses := make(map[lookupUse]*useCount)
-	s.EachFormula(func(at cell.Addr, fc sheet.Formula) bool {
-		dr, dc := fc.DeltaAt(at)
-		external := fc.Code.External
-		// fm is the formula's lookup-free work: one evaluation, one touch
-		// per single-cell precedent, and a scan of every range not served
-		// by a classified lookup site (COUNTIF and aggregate sites are
-		// charged as scans, see predictSheet).
-		var fm costmodel.Meter
-		fm.Add(costmodel.FormulaEval, 1)
-		fm.Add(costmodel.CellTouch, int64(len(fc.Code.Refs)))
-		extTables := make(map[formula.ExtRefNode]bool)
-		localTables := make(map[formula.RangeNode]bool)
-		formula.Walk(fc.Code.Root, func(n formula.Node) {
-			call, ok := n.(formula.CallNode)
-			if !ok {
-				return
-			}
-			switch call.Name {
-			case "MATCH", "VLOOKUP":
-				use, en, ok := classifyLookup(call, dr, dc)
-				if !ok {
-					return
-				}
-				if use.target != "" {
-					extTables[en] = true
-				} else if rn, isLocal := call.Args[1].(formula.RangeNode); isLocal {
-					localTables[rn] = true
-				}
-				uc, ok := uses[use]
-				if !ok {
-					uc = &useCount{use: use}
-					uses[use] = uc
-				}
-				uc.n++
-				if external {
-					uc.ext++
-				}
-			case "COUNTIF":
-				col, r0, r1, ok := localColumnArg(call, 0, 2, dr, dc)
-				if !ok {
-					return
-				}
-				lit, isLit := literalArg(call.Args[1])
-				if !isLit {
-					return
-				}
-				localTables[call.Args[0].(formula.RangeNode)] = true
-				addMeter(&fm, scanCountWork(int64(r1-r0+1)))
-				set.noteCol(set.countIf, call.Name, col, r0, r1, isEqualityCriterion(lit))
-			case "SUM", "COUNT", "AVERAGE":
-				col, r0, r1, ok := localColumnArg(call, 0, 1, dr, dc)
-				if !ok {
-					return
-				}
-				localTables[call.Args[0].(formula.RangeNode)] = true
-				addMeter(&fm, scanAggWork(int64(r1-r0+1)))
-				set.noteCol(set.aggs, call.Name, col, r0, r1, true)
-			}
-		})
-		// Ranges not consumed by a classified site are plain scans in every
-		// strategy; the predictor charges their cardinality.
-		formula.Walk(fc.Code.Root, func(n formula.Node) {
-			switch t := n.(type) {
-			case formula.RangeNode:
-				if !localTables[t] {
-					fm.Add(costmodel.CellTouch, int64(shiftRange(t, dr, dc).Cells()))
-				}
-			case formula.ExtRefNode:
-				if extTables[t] {
-					return
-				}
-				if !t.IsRange {
-					fm.Add(costmodel.CellTouch, 1)
-					return
-				}
-				fm.Add(costmodel.CellTouch, int64(t.Range().Cells()))
-			}
-		})
-		addMeter(&set.base, fm)
-		if external {
-			addMeter(&set.extBase, fm)
-		}
+// equality reports whether a CountIfUse's criterion is an equality probe
+// (servable by the hash index) rather than a relational one ("<x", ">=y"
+// — B-tree territory).
+func (u Use) equality() bool {
+	if u.Crit.Kind != cell.Text {
 		return true
-	})
-	set.uses = make([]useCount, 0, len(uses))
-	for _, uc := range uses {
-		set.uses = append(set.uses, *uc)
 	}
-	sort.Slice(set.uses, func(i, j int) bool { return set.uses[i].use.less(set.uses[j].use) })
-	return set
+	_, _, eq := formula.CompileCriterion(u.Crit).Shape()
+	return eq
 }
 
-// less orders lookup uses by target sheet, site key, function and mode.
-func (u lookupUse) less(o lookupUse) bool {
-	if u.target != o.target {
-		return u.target < o.target
-	}
-	if u.key != o.key {
-		return u.key.less(o.key)
-	}
-	if u.fn != o.fn {
-		return u.fn < o.fn
-	}
-	return u.mode < o.mode
-}
-
-func (set *siteSet) noteCol(m map[int]*colSiteAgg, fn string, col, r0, r1 int, equality bool) {
-	agg, ok := m[col]
-	if !ok {
-		agg = &colSiteAgg{fn: fn, r0: r0, r1: r1, equality: equality}
-		m[col] = agg
-	}
-	if fn < agg.fn {
-		agg.fn = fn
-	}
-	agg.count++
-	if r0 < agg.r0 {
-		agg.r0 = r0
-	}
-	if r1 > agg.r1 {
-		agg.r1 = r1
-	}
-	if !equality {
-		agg.equality = false
+// EachUse calls visit for every site of a formula hosted with displacement
+// (dr, dc) from its authored origin, in pre-order: each classified call,
+// and each range or cross-sheet reference that no classified call
+// consumes. Calls whose shape is not classifiable (dynamic match modes,
+// non-range tables, criteria that are not literals) are walked into, so
+// their ranges report as scans. It allocates nothing.
+func EachUse(n formula.Node, dr, dc int, visit func(Use)) {
+	switch t := n.(type) {
+	case formula.CallNode:
+		u, table, ok := classify(t, dr, dc)
+		if ok {
+			visit(u)
+		} else {
+			table = -1
+		}
+		for i, a := range t.Args {
+			if i != table {
+				EachUse(a, dr, dc, visit)
+			}
+		}
+	case formula.BinaryNode:
+		EachUse(t.L, dr, dc, visit)
+		EachUse(t.R, dr, dc, visit)
+	case formula.UnaryNode:
+		EachUse(t.X, dr, dc, visit)
+	case formula.RangeNode:
+		visit(Use{Cells: t.Shift(dr, dc).Cells()})
+	case formula.ExtRefNode:
+		visit(Use{Sheet: t.Sheet, Cells: t.Range().Cells()})
 	}
 }
 
-// firstFnMode merges the function and match mode of two uses sharing one
-// site: the alphabetically first function, then the lower mode. Formulas
-// are visited in no particular order, so the merge must not depend on it;
-// a plan labels and prices a mixed site the same way on every build.
-func firstFnMode(fn string, mode int, fn2 string, mode2 int) (string, int) {
-	if fn2 < fn || (fn2 == fn && mode2 < mode) {
-		return fn2, mode2
+// Classify reads the site of one call node hosted with displacement
+// (dr, dc); ok is false for any other node and for an unclassifiable call.
+func Classify(n formula.Node, dr, dc int) (u Use, ok bool) {
+	call, isCall := n.(formula.CallNode)
+	if !isCall {
+		return Use{}, false
 	}
-	return fn, mode
+	u, _, ok = classify(call, dr, dc)
+	return u, ok
 }
 
-// classifyLookup extracts a MATCH/VLOOKUP call's site: the key column and
+// classify reads one call's site and the index of the range argument it
+// consumes.
+func classify(call formula.CallNode, dr, dc int) (Use, int, bool) {
+	switch call.Name {
+	case "MATCH", "VLOOKUP":
+		u, ok := classifyLookup(call, dr, dc)
+		return u, 1, ok
+	case "COUNTIF":
+		u, ok := localColumnArg(call, 2, dr, dc)
+		if !ok {
+			return u, 0, false
+		}
+		u.Crit, ok = formula.LiteralValue(call.Args[1])
+		u.Kind = CountIfUse
+		return u, 0, ok
+	case "SUM", "COUNT", "AVERAGE":
+		u, ok := localColumnArg(call, 1, dr, dc)
+		u.Kind = AggUse
+		return u, 0, ok
+	}
+	return Use{}, 0, false
+}
+
+// classifyLookup reads a MATCH/VLOOKUP call's site: the key column and
 // span (local ranges shifted to the host cell; cross-sheet tables in the
-// foreign sheet's coordinates), the literal match mode, and the table
-// cardinality. Calls with dynamic mode arguments or non-range tables are
-// not classifiable — the engine's behavior for them is not planned.
-func classifyLookup(call formula.CallNode, dr, dc int) (lookupUse, formula.ExtRefNode, bool) {
-	var use lookupUse
-	var en formula.ExtRefNode
+// foreign sheet's coordinates) and the literal match mode. Calls with
+// dynamic mode arguments or non-range tables are not classifiable — the
+// engine's behavior for them is not planned.
+func classifyLookup(call formula.CallNode, dr, dc int) (Use, bool) {
+	u := Use{Kind: LookupUse, Fn: call.Name}
 	minArgs := 2
 	if call.Name == "VLOOKUP" {
 		minArgs = 3
 	}
 	if len(call.Args) < minArgs {
-		return use, en, false
+		return u, false
 	}
 	mode, ok := lookupMode(call)
 	if !ok {
-		return use, en, false
+		return u, false
 	}
 	var r cell.Range
 	switch t := call.Args[1].(type) {
 	case formula.RangeNode:
-		r = shiftRange(t, dr, dc)
+		r = t.Shift(dr, dc)
 	case formula.ExtRefNode:
 		if !t.IsRange {
-			return use, en, false
+			return u, false
 		}
-		en = t
 		r = t.Range()
-		use.target = t.Sheet
+		u.Sheet = t.Sheet
 	default:
-		return use, en, false
+		return u, false
 	}
 	if call.Name == "MATCH" && r.Start.Col != r.End.Col {
-		return use, en, false // only column MATCH has a key column
+		return u, false // only column MATCH has a key column
 	}
-	use.fn = call.Name
-	use.mode = mode
-	use.key = SiteKey{Col: r.Start.Col, R0: r.Start.Row, R1: r.End.Row, Exact: mode == 0}
-	return use, en, true
+	u.Mode = mode
+	u.Col, u.R0, u.R1 = r.Start.Col, r.Start.Row, r.End.Row
+	u.Cells = r.Cells()
+	return u, true
 }
 
 // lookupMode parses the literal match-mode argument: MATCH's third (number
@@ -289,62 +217,197 @@ func lookupMode(call formula.CallNode) (int, bool) {
 	}
 }
 
-// localColumnArg extracts a single-column local range argument at index i
-// from a call with exactly want arguments.
-func localColumnArg(call formula.CallNode, i, want, dr, dc int) (col, r0, r1 int, ok bool) {
+// localColumnArg reads the single-column local range that is the first
+// argument of a call with exactly want arguments.
+func localColumnArg(call formula.CallNode, want, dr, dc int) (Use, bool) {
 	if len(call.Args) != want {
-		return 0, 0, 0, false
+		return Use{}, false
 	}
-	rn, isRange := call.Args[i].(formula.RangeNode)
+	rn, isRange := call.Args[0].(formula.RangeNode)
 	if !isRange {
-		return 0, 0, 0, false
+		return Use{}, false
 	}
-	r := shiftRange(rn, dr, dc)
+	r := rn.Shift(dr, dc)
 	if r.Start.Col != r.End.Col {
-		return 0, 0, 0, false
+		return Use{}, false
 	}
-	return r.Start.Col, r.Start.Row, r.End.Row, true
+	return Use{Fn: call.Name, Col: r.Start.Col, R0: r.Start.Row, R1: r.End.Row, Cells: r.Cells()}, true
 }
 
-// literalArg extracts a literal scalar argument.
-func literalArg(n formula.Node) (cell.Value, bool) {
-	switch t := n.(type) {
-	case formula.NumberLit:
-		return cell.Num(float64(t)), true
-	case formula.StringLit:
-		return cell.Str(string(t)), true
-	case formula.BoolLit:
-		return cell.Boolean(bool(t)), true
-	}
-	return cell.Value{}, false
-}
+// sharedAggMin is how many single-column aggregate calls over one column
+// justify building its prefix sums at install time.
+const sharedAggMin = 2
 
-// isEqualityCriterion reports whether a COUNTIF criterion literal is an
-// equality probe (servable by the hash index) rather than a relational
-// one ("<x", ">=y" — B-tree territory).
-func isEqualityCriterion(v cell.Value) bool {
-	if v.Kind != cell.Text {
+// SharedAggColumns returns, ascending, the columns that two or more
+// AggUse sites of the sheet's formulas aggregate: the optimized profile's
+// fixed eager-build rule. The planned profile prices the same decision
+// per column instead (SheetPlan.EagerIndexCols).
+func SharedAggColumns(s *sheet.Sheet) []int {
+	counts := make(map[int]int)
+	s.EachFormula(func(at cell.Addr, fc sheet.Formula) bool {
+		dr, dc := fc.DeltaAt(at)
+		EachUse(fc.Code.Root, dr, dc, func(u Use) {
+			if u.Kind == AggUse {
+				counts[u.Col]++
+			}
+		})
 		return true
+	})
+	var cols []int
+	for col, n := range counts {
+		if n >= sharedAggMin {
+			cols = append(cols, col)
+		}
 	}
-	op, _, eq := formula.CompileCriterion(v).Shape()
-	_ = op
-	return eq
+	sortInts(cols)
+	return cols
 }
 
-// shiftRef translates a reference by the host displacement, honoring
-// absolute anchors.
-func shiftRef(r cell.Ref, dr, dc int) cell.Addr {
-	a := r.Addr
-	if !r.AbsRow {
-		a.Row += dr
-	}
-	if !r.AbsCol {
-		a.Col += dc
-	}
-	return a
+// lookupUse is the shape of one lookup call as the plan groups them: the
+// site it probes, and the function and match mode that price it when the
+// site scans (the linear-cost baseline the chosen strategy replaces in the
+// prediction).
+type lookupUse struct {
+	key    SiteKey
+	target string // sheet holding the key column ("" = host sheet)
+	fn     string // VLOOKUP or MATCH
+	mode   int    // 0 exact, 1 approx ascending, -1 descending
 }
 
-// shiftRange translates a range node by the host displacement.
-func shiftRange(rn formula.RangeNode, dr, dc int) cell.Range {
-	return cell.RangeOf(shiftRef(rn.From, dr, dc), shiftRef(rn.To, dr, dc))
+// useCount is how many lookup calls of one shape (target, site, fn, mode)
+// the sheet's formulas make: n in all of them, ext in cross-sheet ones.
+type useCount struct {
+	use    lookupUse
+	n, ext int64
+}
+
+// siteSet accumulates the distinct sites of one sheet's formula
+// population. It depends on the formula set alone, so a Cache keeps it
+// across value edits; it is O(sites), never O(formulas).
+type siteSet struct {
+	// countIf maps column -> CountIfUse sites.
+	countIf map[int]*colSiteAgg
+	// aggs maps column -> AggUse sites.
+	aggs map[int]*colSiteAgg
+	// base is the work of evaluating every formula once apart from its
+	// lookup calls (whose cost depends on the chosen strategies); extBase
+	// is the share of cross-sheet formulas. uses counts the lookup calls,
+	// in sorted key order: Build merges them into lookup sites, and the
+	// predictor adds count × the chosen work.
+	base, extBase costmodel.Meter
+	uses          []useCount
+}
+
+type colSiteAgg struct {
+	fn    string
+	count int
+	// span is the largest row span any instance covers (pricing uses the
+	// worst case).
+	r0, r1 int
+	// equality is false when some COUNTIF instance uses a relational
+	// criterion (the hash index cannot serve it; the B-tree can).
+	equality bool
+}
+
+// collectSites walks the sheet's formulas once.
+func collectSites(s *sheet.Sheet) *siteSet {
+	set := &siteSet{
+		countIf: make(map[int]*colSiteAgg),
+		aggs:    make(map[int]*colSiteAgg),
+	}
+	uses := make(map[lookupUse]*useCount)
+	s.EachFormula(func(at cell.Addr, fc sheet.Formula) bool {
+		dr, dc := fc.DeltaAt(at)
+		external := fc.Code.External
+		// fm is the formula's lookup-free work: one evaluation, one touch
+		// per single-cell precedent, and a scan of every range not served
+		// by a lookup site (COUNTIF and aggregate sites are charged as
+		// scans, see predictSheet).
+		var fm costmodel.Meter
+		fm.Add(costmodel.FormulaEval, 1)
+		fm.Add(costmodel.CellTouch, int64(len(fc.Code.Refs)))
+		EachUse(fc.Code.Root, dr, dc, func(u Use) {
+			switch u.Kind {
+			case ScanUse:
+				fm.Add(costmodel.CellTouch, int64(u.Cells))
+			case LookupUse:
+				key := lookupUse{
+					key:    SiteKey{Col: u.Col, R0: u.R0, R1: u.R1, Exact: u.Mode == 0},
+					target: u.Sheet, fn: u.Fn, mode: u.Mode,
+				}
+				uc, ok := uses[key]
+				if !ok {
+					uc = &useCount{use: key}
+					uses[key] = uc
+				}
+				uc.n++
+				if external {
+					uc.ext++
+				}
+			case CountIfUse:
+				addMeter(&fm, scanCountWork(u.Span()))
+				set.noteCol(set.countIf, u, u.equality())
+			case AggUse:
+				addMeter(&fm, scanAggWork(u.Span()))
+				set.noteCol(set.aggs, u, true)
+			}
+		})
+		addMeter(&set.base, fm)
+		if external {
+			addMeter(&set.extBase, fm)
+		}
+		return true
+	})
+	set.uses = make([]useCount, 0, len(uses))
+	for _, uc := range uses {
+		set.uses = append(set.uses, *uc)
+	}
+	sort.Slice(set.uses, func(i, j int) bool { return set.uses[i].use.less(set.uses[j].use) })
+	return set
+}
+
+// less orders lookup uses by target sheet, site key, function and mode.
+func (u lookupUse) less(o lookupUse) bool {
+	if u.target != o.target {
+		return u.target < o.target
+	}
+	if u.key != o.key {
+		return u.key.less(o.key)
+	}
+	if u.fn != o.fn {
+		return u.fn < o.fn
+	}
+	return u.mode < o.mode
+}
+
+func (set *siteSet) noteCol(m map[int]*colSiteAgg, u Use, equality bool) {
+	agg, ok := m[u.Col]
+	if !ok {
+		agg = &colSiteAgg{fn: u.Fn, r0: u.R0, r1: u.R1, equality: equality}
+		m[u.Col] = agg
+	}
+	if u.Fn < agg.fn {
+		agg.fn = u.Fn
+	}
+	agg.count++
+	if u.R0 < agg.r0 {
+		agg.r0 = u.R0
+	}
+	if u.R1 > agg.r1 {
+		agg.r1 = u.R1
+	}
+	if !equality {
+		agg.equality = false
+	}
+}
+
+// firstFnMode merges the function and match mode of two uses sharing one
+// site: the alphabetically first function, then the lower mode. Formulas
+// are visited in no particular order, so the merge must not depend on it;
+// a plan labels and prices a mixed site the same way on every build.
+func firstFnMode(fn string, mode int, fn2 string, mode2 int) (string, int) {
+	if fn2 < fn || (fn2 == fn && mode2 < mode) {
+		return fn2, mode2
+	}
+	return fn, mode
 }

@@ -23,9 +23,10 @@
 #   plan       cost-based planner surface: the plan package suite, the
 #              engine's plan-consumption gates (prediction-within-2x,
 #              never-loses-to-fixed, rebuild discipline, certification),
-#              the sheetcli plan goldens, the plan-quality experiment at a
-#              smoke size, and the returncheck write-error lint over the
-#              writer packages
+#              the sheetcli plan goldens, the analyzer tests that rest on
+#              plan's site classifier and lookup pricing, the plan-quality
+#              experiment at a smoke size, and the returncheck write-error
+#              lint over the writer packages
 #   fuzz       differential fuzz smoke: the fuzzdiff suite (every workload
 #              x2 sizes, the mutation-catch test, and the checked-in
 #              regression seed corpus), the engine's derived-state
@@ -125,6 +126,9 @@ if [ "$stage" = "plan" ] || [ "$stage" = "all" ]; then
 
     echo "== sheetcli plan goldens =="
     go test ./cmd/sheetcli -run Plan
+
+    echo "== analyzer on plan's site classifier and lookup pricing =="
+    go test -count=1 ./internal/analyze -run 'Lookup|EstEval|Shared|Pin'
 
     echo "== plan-quality experiment (smoke size) =="
     go test -count=1 -run RunPlanQuality ./internal/core
