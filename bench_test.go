@@ -777,6 +777,36 @@ func BenchmarkPlanRebuildAfterEdit(b *testing.B) {
 	}
 }
 
+// BenchmarkRowEditPair times one row insert plus one row delete on
+// 2,000-row weather under the optimized profile, after a warm-up pair. Fill
+// groups survive the edits on one shared formula each, so the allocation
+// count is the tripwire for lost sharing: a pair that re-anchors every
+// formula to its own compiled copy allocates several times as much.
+func BenchmarkRowEditPair(b *testing.B) {
+	const rows = 2000
+	eng := engine.New(engine.OptimizedProfile())
+	wb := workload.Weather(workload.Spec{Rows: rows, Formulas: true})
+	if err := eng.Install(wb); err != nil {
+		b.Fatal(err)
+	}
+	s := wb.First()
+	pair := func(i int) {
+		at := 1 + (i*97)%(rows-10)
+		if _, err := eng.InsertRows(s, at, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.DeleteRows(s, at+5, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pair(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair(i + 1)
+	}
+}
+
 // BenchmarkPlannerVsFixed is the plan-quality series: steady-state
 // recalculation under the planned profile against both fixed strategies
 // (always-index optimized, scan-only). The planned series must track the

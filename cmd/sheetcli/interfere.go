@@ -100,7 +100,7 @@ func interfereReportFor(wb *sheet.Workbook) *interfereReport {
 func (rep *interfereReport) writeText(w io.Writer, maxList int) error {
 	verdict := "certified for staged parallel recalculation"
 	if !rep.Certified {
-		verdict = "NOT certified (engine falls back to per-cell leveling)"
+		verdict = "NOT certified (engine falls back to the serial calc chain)"
 	}
 	l := report.NewLines(w)
 	l.Printf("workbook: %d sheet(s), %s\n", len(rep.Sheets), verdict)

@@ -303,7 +303,7 @@ func (inf *Inference) evalNode(n formula.Node, dr, dc int) absOp {
 		// extent (counts stay sound) with top cells.
 		if t.IsRange {
 			return absOp{
-				rng:     formula.RangeNode{From: t.From, To: t.To}.Shift(dr, dc),
+				rng:     t.Shift(dr, dc),
 				isRange: true,
 				ext:     true,
 			}

@@ -5,6 +5,7 @@ package cell
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -32,8 +33,13 @@ func (a Addr) Offset(dr, dc int) Addr { return Addr{Row: a.Row + dr, Col: a.Col 
 // ColName converts a zero-based column index to its spreadsheet letter name:
 // 0 -> "A", 25 -> "Z", 26 -> "AA".
 func ColName(col int) string {
+	var buf [8]byte
+	return string(appendColName(buf[:0], col))
+}
+
+func appendColName(dst []byte, col int) []byte {
 	if col < 0 {
-		return "?"
+		return append(dst, '?')
 	}
 	var buf [8]byte
 	i := len(buf)
@@ -45,7 +51,7 @@ func ColName(col int) string {
 			break
 		}
 	}
-	return string(buf[i:])
+	return append(dst, buf[i:]...)
 }
 
 // ParseColName converts a spreadsheet column name to its zero-based index:
@@ -133,6 +139,19 @@ func (r Ref) String() string {
 	}
 	fmt.Fprint(&b, r.Addr.Row+1)
 	return b.String()
+}
+
+// AppendTo appends the reference's String form to dst without allocating
+// beyond dst's growth; hashing printers write references through it.
+func (r Ref) AppendTo(dst []byte) []byte {
+	if r.AbsCol {
+		dst = append(dst, '$')
+	}
+	dst = appendColName(dst, r.Addr.Col)
+	if r.AbsRow {
+		dst = append(dst, '$')
+	}
+	return strconv.AppendInt(dst, int64(r.Addr.Row+1), 10)
 }
 
 // ParseRef parses a single cell reference with optional absolute markers.

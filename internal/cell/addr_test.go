@@ -151,3 +151,15 @@ func TestRefShiftHonorsAnchors(t *testing.T) {
 		t.Error("a relative row shifted above the sheet must be invalid")
 	}
 }
+
+func TestRefAppendToMatchesString(t *testing.T) {
+	for _, r := range []Ref{
+		{Addr: Addr{Row: 0, Col: 0}},
+		{Addr: Addr{Row: 9999, Col: 27}, AbsRow: true},
+		{Addr: Addr{Row: 41, Col: 702}, AbsCol: true, AbsRow: true},
+	} {
+		if got := string(r.AppendTo(nil)); got != r.String() {
+			t.Errorf("AppendTo = %q, String = %q", got, r.String())
+		}
+	}
+}

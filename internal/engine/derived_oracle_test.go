@@ -77,7 +77,10 @@ func TestDerivedStateCoherentDeleteHeavy(t *testing.T) {
 // remaining ops mostly clear, overwrite with text, or delete rows inside
 // those columns; row deletes wait for the first third of the stream, since
 // a row move drops the typed-column facts the earlier writes test, and
-// some clears land on the planted formulas' own cells.
+// some clears land on the planted formulas' own cells. Three fill groups
+// pasted down beside them (row-local, absolutely anchored, and a running
+// total that straddles every row edit) meet row inserts, deletes and
+// sorts, which keep the clean cells of each group on one shared formula.
 func deleteHeavyOps(t *testing.T, cfg fuzzdiff.Config, n int) []tracelang.Op {
 	t.Helper()
 	gen, _ := workload.ByName(cfg.Workload)
@@ -124,6 +127,18 @@ func deleteHeavyOps(t *testing.T, cfg fuzzdiff.Config, n int) []tracelang.Op {
 	for i := 0; i < 7; i++ {
 		ops = append(ops, tracelang.FormulaOp{At: at(i), Text: planted(i)})
 	}
+	key2 := cell.ColName(numCols[1])
+	for i, text := range []string{
+		fmt.Sprintf("=%s2+1", key2),
+		fmt.Sprintf("=%s2*%s$2", key2, key2),
+		fmt.Sprintf("=SUM(%s$2:%s2)", key2, key2),
+	} {
+		ops = append(ops, tracelang.FormulaOp{At: cell.Addr{Row: 1, Col: scratch + 1 + i}, Text: text})
+	}
+	for h := 1; 2*h < rows-1; h *= 2 {
+		src := cell.Range{Start: cell.Addr{Row: 1, Col: scratch + 1}, End: cell.Addr{Row: h, Col: scratch + 3}}
+		ops = append(ops, tracelang.PasteOp{Src: src, Dst: cell.Addr{Row: 1 + h, Col: scratch + 1}})
+	}
 	rng := rand.New(rand.NewSource(int64(cfg.Seed)))
 	for len(ops) < n {
 		col := numCol
@@ -131,7 +146,7 @@ func deleteHeavyOps(t *testing.T, cfg fuzzdiff.Config, n int) []tracelang.Op {
 			col = txtCol
 		}
 		a := cell.Addr{Row: 1 + rng.Intn(rows-1), Col: col}
-		switch w := rng.Intn(10); {
+		switch w := rng.Intn(12); {
 		case w < 3:
 			ops = append(ops, tracelang.ClearOp{At: a})
 		case w < 5:
@@ -146,6 +161,17 @@ func deleteHeavyOps(t *testing.T, cfg fuzzdiff.Config, n int) []tracelang.Op {
 			rows--
 		case w < 9:
 			ops = append(ops, tracelang.FindOp{Find: token, Replace: token + "x"})
+		case w < 10:
+			if len(ops) < n/3 {
+				continue
+			}
+			ops = append(ops, tracelang.RowInsOp{At: 2 + rng.Intn(rows-1), N: 1 + rng.Intn(2)})
+			rows += ops[len(ops)-1].(tracelang.RowInsOp).N
+		case w < 11:
+			if len(ops) < n/3 {
+				continue
+			}
+			ops = append(ops, tracelang.SortOp{Col: numCols[1], Asc: rng.Intn(2) == 0})
 		default:
 			i := rng.Intn(7)
 			ops = append(ops, tracelang.FormulaOp{At: at(i), Text: planted(i)})

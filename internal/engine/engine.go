@@ -568,12 +568,13 @@ func (e *Engine) evalChain(s *sheet.Sheet, order, cyclic []cell.Addr, meter *cos
 // stale the moment cells move, so they are dropped before any
 // recalculation consults them, and every formula is re-registered from its
 // new position, which retires the formula-set artifacts with the old graph
-// version.
+// version. A delete that removed the sheet's last formulas still clears
+// the graph.
 func (e *Engine) rowsMoved(s *sheet.Sheet) {
 	if st := e.state(s).opt; st != nil {
 		st.rebuildAfterReorder()
 	}
-	if s.FormulaCount() > 0 {
+	if s.FormulaCount() > 0 || e.graph(s).FormulaCount() > 0 {
 		e.rebuildGraph(s, &e.meter)
 	}
 }

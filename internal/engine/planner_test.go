@@ -262,3 +262,44 @@ func workloadSheet(t *testing.T, rows int) *sheet.Workbook {
 	}
 	return wb
 }
+
+// TestPlannedEditIgnoresPivotSheets: pivot output sheets hold no formulas
+// and no lookup probes them, so they stay out of the plan, and a planned
+// edit that rebuilds it allocates as much after 200 pivots as before any.
+func TestPlannedEditIgnoresPivotSheets(t *testing.T) {
+	wb := workload.Weather(workload.Spec{Rows: 1000, Formulas: true})
+	e := New(PlannedProfile())
+	if err := e.Install(wb); err != nil {
+		t.Fatal(err)
+	}
+	s := wb.First()
+	// A COUNTIF over J makes the plan consult J's statistics, so each
+	// write to J retires them.
+	if _, _, err := e.InsertFormula(s, cell.Addr{Row: 1, Col: 18}, "=COUNTIF(J2:J1000,1)"); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	edit := func() {
+		n++
+		p := e.Plan()
+		if _, err := e.SetCell(s, cell.Addr{Row: 2 + n%500, Col: 9}, cell.Num(float64(n))); err != nil {
+			t.Fatal(err)
+		}
+		if e.Plan() == p {
+			t.Fatal("edit did not rebuild the plan")
+		}
+	}
+	before := testing.AllocsPerRun(20, edit)
+	for i := 0; i < 200; i++ {
+		if _, _, err := e.PivotTable(s, 1, 9, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := testing.AllocsPerRun(20, edit)
+	if after != before {
+		t.Errorf("planned edit allocates %.0f times after 200 pivots, %.0f before", after, before)
+	}
+	if got := len(e.Plan().Sheets); got != 1 {
+		t.Errorf("plan covers %d sheets, want 1 (pivot outputs left out)", got)
+	}
+}

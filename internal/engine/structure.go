@@ -51,58 +51,51 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	}
 	t := e.begin(OpRowEdit)
 
-	// Phase 1: rewrite every formula against the upcoming edit. Texts are
-	// deduplicated so columns of equal-shape formulas recompile once —
-	// what real engines achieve with shared formula groups.
+	// Phase 1: adjust every formula for the upcoming edit, one fill group
+	// at a time — what real engines achieve with shared formula groups.
+	// A cell whose references all ride the edit with their host
+	// (formula.Edit.Rides) keeps its group's (Code, Origin) pair, so the
+	// group stays one *Compiled. Every other cell (a range straddling the
+	// edit, a reference into a deleted band, an anchor the edit moves)
+	// gets its own adjusted text, compiled once per distinct text and
+	// anchored at its post-edit address. Hosts the edit deletes need
+	// nothing. The profiles still charge a compile and a write per formula.
+	edit := formula.Edit{Boundary: at, Delta: delta, Rows: rowAxis}
 	type rewrite struct {
-		at   cell.Addr
-		code *formula.Compiled
+		at cell.Addr
+		fc sheet.Formula
 	}
 	var rewrites []rewrite
 	compiled := make(map[string]*formula.Compiled)
 	var failed error
+	formulas := int64(s.FormulaCount())
 	s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
+		post, dead := edit.MoveAddr(a)
 		dr, dc := fc.DeltaAt(a)
-		var text string
-		if rowAxis {
-			text = formula.AdjustForRowChange(fc.Code, dr, dc, at, delta)
-		} else {
-			text = formula.AdjustForColChange(fc.Code, dr, dc, at, delta)
+		if dead || edit.Rides(fc.Code, dr, dc, a) {
+			return true
 		}
-		e.meter.Add(costmodel.FormulaCompile, 1)
+		text := edit.Adjust(fc.Code, dr, dc)
 		code, ok := compiled[text]
 		if !ok {
 			var err error
-			code, err = formula.Compile(text)
-			if err != nil {
+			if code, err = formula.Compile(text); err != nil {
 				failed = fmt.Errorf("engine: adjusting formula at %s: %w", a, err)
 				return false
 			}
 			compiled[text] = code
 		}
-		rewrites = append(rewrites, rewrite{at: a, code: code})
+		rewrites = append(rewrites, rewrite{at: a, fc: sheet.Formula{Code: code, Origin: post}})
 		return true
 	})
 	if failed != nil {
 		return t.finish(), failed
 	}
 	for _, rw := range rewrites {
-		// Re-anchor so the formula has zero displacement AFTER the
-		// structural move shifts its host cell: the new text was computed
-		// in the post-edit frame.
-		post := rw.at
-		coord := &post.Row
-		if !rowAxis {
-			coord = &post.Col
-		}
-		if delta > 0 && *coord >= at {
-			*coord += delta
-		} else if delta < 0 && *coord >= at-delta {
-			*coord += delta
-		}
-		s.AttachFormula(rw.at, sheet.Formula{Code: rw.code, Origin: post})
-		e.meter.Add(costmodel.CellWrite, 1)
+		s.AttachFormula(rw.at, rw.fc)
 	}
+	e.meter.Add(costmodel.FormulaCompile, formulas)
+	e.meter.Add(costmodel.CellWrite, formulas)
 
 	// Phase 2: move the cells.
 	span := int64(s.Cols())

@@ -10,103 +10,160 @@ import (
 // rows/columns) differ from moves: EVERY reference whose effective
 // (displaced) coordinate lies at or beyond the edit point shifts, wherever
 // the formula lives, and references into a deleted region become #REF! —
-// the semantics all three benchmarked systems share. The adjusted text must
-// be recompiled; the engine re-anchors it at the formula's post-edit
-// address.
-
-// AdjustForRowChange renders the formula's post-edit text for a formula
-// hosted with displacement (dr, dc) from its authored origin.
+// the semantics all three benchmarked systems share.
 //
-//   - delta > 0: delta rows were inserted before row `boundary`;
-//     references with effective row >= boundary shift down.
-//   - delta < 0: rows [boundary, boundary-delta) were deleted; references
-//     into the region die, references below shift up.
-func AdjustForRowChange(c *Compiled, dr, dc int, boundary, delta int) string {
-	return adjustText(c, &printer{style: adjusted, dr: dr, dc: dc, boundary: boundary, delta: delta, rowAxis: true})
+// A fill group (cells sharing one *Compiled and origin) mostly comes
+// through an edit unchanged in relative R1C1 form: every relative
+// reference moves with its host and no anchored one moves. Edit.Rides
+// tells such a cell apart; the engine keeps the group's *Compiled for it
+// and adjusts the text of the other cells one by one (Edit.Adjust),
+// re-anchored at their post-edit address.
+
+// Edit is one structural row or column edit. Delta > 0 inserts Delta lines
+// before line Boundary; Delta < 0 deletes lines [Boundary, Boundary-Delta).
+type Edit struct {
+	Boundary, Delta int
+	// Rows selects the row axis; false is the column axis.
+	Rows bool
 }
 
-// AdjustForColChange is the column-axis counterpart of AdjustForRowChange.
-func AdjustForColChange(c *Compiled, dr, dc int, boundary, delta int) string {
-	return adjustText(c, &printer{style: adjusted, dr: dr, dc: dc, boundary: boundary, delta: delta})
-}
-
-func adjustText(c *Compiled, p *printer) string {
-	var b strings.Builder
-	b.WriteByte('=')
-	p.node(&b, c.Root)
-	return b.String()
-}
-
-// adjust maps one reference to its post-edit form: the effective
-// (displaced) coordinate on the edit axis moves past the edit. dead
-// reports a reference into a deleted region or off the sheet.
-func (p *printer) adjust(r cell.Ref) (out cell.Ref, dead bool) {
-	out = r.Shift(p.dr, p.dc)
-	x := &out.Addr.Col
-	if p.rowAxis {
-		x = &out.Addr.Row
-	}
-	*x, dead = shiftCoord(*x, p.boundary, p.delta)
-	return out, dead || !out.Addr.Valid()
-}
-
-// shiftCoord applies the structural shift to one coordinate.
-func shiftCoord(x, boundary, delta int) (int, bool) {
+// Move maps one coordinate on the edit's axis to where the edit puts it;
+// dead reports a coordinate inside a deleted band. This is the one shift
+// rule: the engine moves host cells with it and references move with it.
+func (e Edit) Move(x int) (int, bool) {
 	switch {
-	case delta > 0:
-		if x >= boundary {
-			return x + delta, false
+	case e.Delta > 0:
+		if x >= e.Boundary {
+			return x + e.Delta, false
 		}
-	case delta < 0:
-		cut := -delta
+	case e.Delta < 0:
+		cut := -e.Delta
 		switch {
-		case x >= boundary && x < boundary+cut:
+		case x >= e.Boundary && x < e.Boundary+cut:
 			return x, true
-		case x >= boundary+cut:
+		case x >= e.Boundary+cut:
 			return x - cut, false
 		}
 	}
 	return x, false
 }
 
-func (p *printer) adjustedRef(b canonWriter, r cell.Ref) {
-	out, dead := p.adjust(r)
+// MoveAddr maps a cell address through the edit; dead reports a cell the
+// edit deletes.
+func (e Edit) MoveAddr(a cell.Addr) (cell.Addr, bool) {
+	x := e.axis(&a)
+	var dead bool
+	*x, dead = e.Move(*x)
+	return a, dead
+}
+
+// axis points at a's coordinate on the edit's axis.
+func (e Edit) axis(a *cell.Addr) *int {
+	if e.Rows {
+		return &a.Row
+	}
+	return &a.Col
+}
+
+// Adjust renders the post-edit text of a formula hosted with displacement
+// (dr, dc). The text must be recompiled; the engine anchors it at the
+// formula's post-edit address.
+func (e Edit) Adjust(c *Compiled, dr, dc int) string {
+	var b strings.Builder
+	b.WriteByte('=')
+	(&printer{style: adjusted, dr: dr, dc: dc, edit: e}).node(sink{b: &b}, c.Root)
+	return b.String()
+}
+
+// Rides reports whether a formula hosted at host with displacement
+// (dr, dc) comes through the edit unchanged in relative R1C1 form, so its
+// cell can keep its (Code, Origin) pair. That holds when the host
+// survives, no reference dies or lands off the sheet, every relative
+// component on the axis moves exactly as far as the host, no absolute
+// component on the axis moves, and no cross-sheet reference is relative
+// on the axis while the host moves (an edit does not move foreign cells,
+// so such a read is pinned and its offset changes).
+func (e Edit) Rides(c *Compiled, dr, dc int, host cell.Addr) bool {
+	x := *e.axis(&host)
+	moved, dead := e.Move(x)
 	if dead {
-		b.WriteString(cell.ErrRef)
+		return false
+	}
+	hostShift := moved - x
+	local := func(ref cell.Ref) bool {
+		_, shift, dead := e.move(ref, dr, dc)
+		if e.absolute(ref) {
+			return !dead && shift == 0
+		}
+		return !dead && shift == hostShift
+	}
+	foreign := func(ref cell.Ref) bool {
+		return ref.Shift(dr, dc).Addr.Valid() && (e.absolute(ref) || hostShift == 0)
+	}
+	clean := true
+	walk(c.Root, func(n Node) {
+		switch t := n.(type) {
+		case RefNode:
+			clean = clean && local(t.Ref)
+		case RangeNode:
+			clean = clean && local(t.From) && local(t.To)
+		case ExtRefNode:
+			clean = clean && foreign(t.From) && (!t.IsRange || foreign(t.To))
+		}
+	})
+	return clean
+}
+
+// absolute reports whether the reference is anchored ($) on the edit's
+// axis.
+func (e Edit) absolute(r cell.Ref) bool {
+	if e.Rows {
+		return r.AbsRow
+	}
+	return r.AbsCol
+}
+
+// move maps one reference, hosted with displacement (dr, dc), through the
+// edit: its effective coordinate on the axis moves past the edit by shift.
+// dead reports a reference into a deleted region or off the sheet.
+func (e Edit) move(r cell.Ref, dr, dc int) (out cell.Ref, shift int, dead bool) {
+	out = r.Shift(dr, dc)
+	x := e.axis(&out.Addr)
+	was := *x
+	*x, dead = e.Move(*x)
+	return out, *x - was, dead || !out.Addr.Valid()
+}
+
+func (p *printer) adjustedRef(b sink, r cell.Ref) {
+	out, _, dead := p.edit.move(r, p.dr, p.dc)
+	if dead {
+		b.writeString(cell.ErrRef)
 		return
 	}
-	b.WriteString(out.String())
+	b.ref(out)
 }
 
 // adjustedRange prints a range through the edit. Endpoints clamp instead
 // of erroring so ranges shrink over a deletion; only a fully deleted range
 // yields #REF!.
-func (p *printer) adjustedRange(b canonWriter, t RangeNode) {
-	from, fromDead := p.adjust(t.From)
-	to, toDead := p.adjust(t.To)
+func (p *printer) adjustedRange(b sink, t RangeNode) {
+	from, _, fromDead := p.edit.move(t.From, p.dr, p.dc)
+	to, _, toDead := p.edit.move(t.To, p.dr, p.dc)
 	if fromDead && toDead {
-		b.WriteString(cell.ErrRef)
+		b.writeString(cell.ErrRef)
 		return
 	}
 	if fromDead {
-		if p.rowAxis {
-			from.Addr.Row = p.boundary
-		} else {
-			from.Addr.Col = p.boundary
-		}
+		*p.edit.axis(&from.Addr) = p.edit.Boundary
 	}
 	if toDead {
-		if p.rowAxis {
-			to.Addr.Row = p.boundary - 1
-		} else {
-			to.Addr.Col = p.boundary - 1
-		}
+		*p.edit.axis(&to.Addr) = p.edit.Boundary - 1
 		if !to.Addr.Valid() {
-			b.WriteString(cell.ErrRef)
+			b.writeString(cell.ErrRef)
 			return
 		}
 	}
-	b.WriteString(from.String())
-	b.WriteByte(':')
-	b.WriteString(to.String())
+	b.ref(from)
+	b.writeByte(':')
+	b.ref(to)
 }

@@ -51,9 +51,9 @@ func TestAdjustForRowChangeInsert(t *testing.T) {
 		{"=SUM(A1:A3)", 0, 5, 2, "=SUM(A1:A3)"},
 	}
 	for _, c := range cases {
-		got := AdjustForRowChange(MustCompile(c.text), c.dr, 0, c.boundary-1, c.delta)
+		got := Edit{Boundary: c.boundary - 1, Delta: c.delta, Rows: true}.Adjust(MustCompile(c.text), c.dr, 0)
 		if got != c.want {
-			t.Errorf("AdjustForRowChange(%s, dr=%d, boundary=%d, +%d) = %q, want %q",
+			t.Errorf("row Adjust(%s, dr=%d, boundary=%d, +%d) = %q, want %q",
 				c.text, c.dr, c.boundary, c.delta, got, c.want)
 		}
 	}
@@ -74,7 +74,7 @@ func TestAdjustForRowChangeDelete(t *testing.T) {
 		{"=SUM(A6:A10)", 4, 3, "=SUM(A5:A7)"}, // start clamps to the cut
 	}
 	for _, c := range cases {
-		got := AdjustForRowChange(MustCompile(c.text), 0, 0, c.boundary, -c.n)
+		got := Edit{Boundary: c.boundary, Delta: -c.n, Rows: true}.Adjust(MustCompile(c.text), 0, 0)
 		if got != c.want {
 			t.Errorf("delete [%d,%d): %s -> %q, want %q", c.boundary, c.boundary+c.n, c.text, got, c.want)
 		}
@@ -94,9 +94,9 @@ func TestAdjustForColChange(t *testing.T) {
 		{"=D1", 2, -1, "=C1"},                  // shifts left
 	}
 	for _, c := range cases {
-		got := AdjustForColChange(MustCompile(c.text), 0, 0, c.boundary, c.delta)
+		got := Edit{Boundary: c.boundary, Delta: c.delta}.Adjust(MustCompile(c.text), 0, 0)
 		if got != c.want {
-			t.Errorf("AdjustForColChange(%s, boundary=%d, %+d) = %q, want %q",
+			t.Errorf("col Adjust(%s, boundary=%d, %+d) = %q, want %q",
 				c.text, c.boundary, c.delta, got, c.want)
 		}
 	}
@@ -110,10 +110,48 @@ func TestAdjustedTextRecompiles(t *testing.T) {
 	}
 	for _, text := range texts {
 		for _, delta := range []int{3, -3} {
-			out := AdjustForRowChange(MustCompile(text), 0, 0, 4, delta)
+			out := Edit{Boundary: 4, Delta: delta, Rows: true}.Adjust(MustCompile(text), 0, 0)
 			if _, err := Compile(out); err != nil {
 				t.Errorf("adjusted %q -> %q does not recompile: %v", text, out, err)
 			}
+		}
+	}
+}
+
+// TestEditRides pins the test a fill group's cells pass to keep their
+// shared formula through a structural edit. The insert moves rows 4..
+// (0-based) down by 2; the delete removes rows 4 and 5.
+func TestEditRides(t *testing.T) {
+	ins := Edit{Boundary: 4, Delta: 2, Rows: true}
+	del := Edit{Boundary: 4, Delta: -2, Rows: true}
+	cases := []struct {
+		text        string
+		edit        Edit
+		dr, hostRow int
+		clean       bool
+	}{
+		{"=A6+B6", ins, 0, 5, true},                       // moves with its host
+		{"=A2+B2", ins, 0, 1, true},                       // above the edit, host too
+		{"=A2", ins, 4, 5, true},                          // displaced onto A6
+		{"=A6+$B$9", ins, 0, 5, false},                    // the anchor moves: not the group's form
+		{"=A6*$B$2", ins, 0, 5, true},                     // the anchor stays
+		{"=SUM(A2:A9)", ins, 0, 0, false},                 // straddles the edit
+		{"=A6", ins, 0, 0, false},                         // host stays, reference moves
+		{"=A5", del, 0, 7, false},                         // reads the deleted band
+		{"=A8", del, 0, 4, false},                         // host deleted
+		{"=$A$5", del, 0, 0, false},                       // anchor in the deleted band
+		{"=other!A6", ins, 0, 5, false},                   // foreign cells do not move
+		{"=other!A$6", ins, 0, 5, true},                   // ...unless anchored
+		{"=other!A6", ins, 0, 0, true},                    // host stays: read unchanged
+		{"=A1", ins, -1, 0, false},                        // reads off the sheet
+		{"=other!A1:A2", ins, -1, 0, false},               // so does a foreign range
+		{"=E6", Edit{Boundary: 4, Delta: 1}, 0, 5, false}, // column edit moves E, not the host D
+	}
+	for _, c := range cases {
+		host := cell.Addr{Row: c.hostRow, Col: 3}
+		if got := c.edit.Rides(MustCompile(c.text), c.dr, 0, host); got != c.clean {
+			t.Errorf("%s dr=%d at %s under %+v: Rides = %v, want %v",
+				c.text, c.dr, host, c.edit, got, c.clean)
 		}
 	}
 }

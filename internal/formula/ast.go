@@ -62,13 +62,14 @@ type ExtRefNode struct {
 	IsRange  bool // false: single-cell reference (To unused)
 }
 
-// Range returns the canonical cell range covered by the node on the
-// foreign sheet (a single cell when IsRange is false).
-func (n ExtRefNode) Range() cell.Range {
+// Shift returns the foreign range the node reads from a cell displaced
+// (dr, dc) from where the formula was written (a single cell when IsRange
+// is false): the cross-sheet form of RangeNode.Shift.
+func (n ExtRefNode) Shift(dr, dc int) cell.Range {
 	if !n.IsRange {
-		return cell.SingleCell(n.From.Addr)
+		return cell.SingleCell(n.From.Shift(dr, dc).Addr)
 	}
-	return cell.RangeOf(n.From.Addr, n.To.Addr)
+	return RangeNode{From: n.From, To: n.To}.Shift(dr, dc)
 }
 
 // CallNode is a function invocation.
@@ -133,7 +134,7 @@ func (UnaryNode) node()  {}
 // same value on the same sheet.
 func Canonical(n Node) string {
 	var b strings.Builder
-	(&printer{}).node(&b, n)
+	(&printer{}).node(sink{b: &b}, n)
 	return b.String()
 }
 

@@ -189,6 +189,6 @@ func (c *Compiled) RowLocal(at cell.Addr) bool {
 func (c *Compiled) RewriteRelative(dr, dc int) string {
 	var b strings.Builder
 	b.WriteByte('=')
-	(&printer{dr: dr, dc: dc}).node(&b, c.Root)
+	(&printer{dr: dr, dc: dc}).node(sink{b: &b}, c.Root)
 	return b.String()
 }

@@ -206,7 +206,7 @@ func evalNode(n Node, env *Env) operand {
 			return scalarOp(env.valueFrom(src, t.From.Shift(env.DR, env.DC).Addr))
 		}
 		return operand{
-			rng:     RangeNode{From: t.From, To: t.To}.Shift(env.DR, env.DC),
+			rng:     t.Shift(env.DR, env.DC),
 			isRange: true,
 			src:     src,
 		}

@@ -134,8 +134,8 @@ func TestExtRefAdjustPinsForeignCells(t *testing.T) {
 	// Inserting rows on the host sheet must not move foreign-sheet reads:
 	// local B5 shifts, accounts!B5 does not.
 	c := MustCompile("=B5+accounts!B5")
-	got := AdjustForRowChange(c, 0, 0, 2, 3)
+	got := Edit{Boundary: 2, Delta: 3, Rows: true}.Adjust(c, 0, 0)
 	if want := "=(B8+accounts!B5)"; got != want {
-		t.Errorf("AdjustForRowChange = %q, want %q", got, want)
+		t.Errorf("Adjust = %q, want %q", got, want)
 	}
 }

@@ -1,7 +1,6 @@
 package formula
 
 import (
-	"io"
 	"strconv"
 	"strings"
 
@@ -16,12 +15,78 @@ import (
 // function names, 'g'-formatted numbers and fully parenthesized operators,
 // so equal text means an equal computation (the fingerprints of §5.4).
 
-// canonWriter is the sink printed text streams into: a *strings.Builder
-// when the text itself is wanted, or the hashing adapter in visit.go when
-// only a fingerprint is (so hashing builds no intermediate text).
-type canonWriter interface {
-	io.StringWriter
-	io.ByteWriter
+// sink is where printed text streams: into a strings.Builder when the text
+// itself is wanted, or, with b nil, into a running 64-bit FNV-1a hash when
+// only a fingerprint is, so hashing builds no text and allocates nothing.
+type sink struct {
+	b *strings.Builder
+	h *uint64
+}
+
+// FNV-1a parameters (hash/fnv's New64a).
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashSink returns a sink hashing into *h, which it seeds.
+func hashSink(h *uint64) sink {
+	*h = fnvOffset64
+	return sink{h: h}
+}
+
+func (s sink) writeString(x string) {
+	if s.b != nil {
+		s.b.WriteString(x)
+		return
+	}
+	for i := 0; i < len(x); i++ {
+		*s.h = (*s.h ^ uint64(x[i])) * fnvPrime64
+	}
+}
+
+func (s sink) writeByte(c byte) {
+	if s.b != nil {
+		s.b.WriteByte(c)
+		return
+	}
+	*s.h = (*s.h ^ uint64(c)) * fnvPrime64
+}
+
+func (s sink) write(p []byte) {
+	if s.b != nil {
+		s.b.Write(p)
+		return
+	}
+	for _, c := range p {
+		*s.h = (*s.h ^ uint64(c)) * fnvPrime64
+	}
+}
+
+// ref prints an A1 reference and num a number literal. Text keeps the
+// formatting it has always used (and so Compile's allocation profile);
+// hashing formats into stack buffers.
+func (s sink) ref(r cell.Ref) {
+	if s.b != nil {
+		s.b.WriteString(r.String())
+		return
+	}
+	var buf [32]byte
+	s.write(r.AppendTo(buf[:0]))
+}
+
+func (s sink) num(f float64) {
+	if s.b != nil {
+		s.b.WriteString(strconv.FormatFloat(f, 'g', -1, 64))
+		return
+	}
+	var buf [32]byte
+	s.write(strconv.AppendFloat(buf[:0], f, 'g', -1, 64))
+}
+
+func (s sink) int(v int) {
+	var buf [24]byte
+	s.write(strconv.AppendInt(buf[:0], int64(v), 10))
 }
 
 // refStyle selects how the printer renders references.
@@ -49,28 +114,26 @@ type printer struct {
 	dr, dc int
 	// host anchors r1c1 offsets.
 	host cell.Addr
-	// boundary, delta and rowAxis describe an adjusted style's edit (see
-	// AdjustForRowChange).
-	boundary, delta int
-	rowAxis         bool
+	// edit is an adjusted style's structural edit.
+	edit Edit
 }
 
-func (p *printer) node(b canonWriter, n Node) {
+func (p *printer) node(b sink, n Node) {
 	switch t := n.(type) {
 	case NumberLit:
-		b.WriteString(strconv.FormatFloat(float64(t), 'g', -1, 64))
+		b.num(float64(t))
 	case StringLit:
-		b.WriteByte('"')
-		b.WriteString(strings.ReplaceAll(string(t), `"`, `""`))
-		b.WriteByte('"')
+		b.writeByte('"')
+		b.writeString(strings.ReplaceAll(string(t), `"`, `""`))
+		b.writeByte('"')
 	case BoolLit:
 		if t {
-			b.WriteString("TRUE")
+			b.writeString("TRUE")
 		} else {
-			b.WriteString("FALSE")
+			b.writeString("FALSE")
 		}
 	case ErrorLit:
-		b.WriteString(string(t))
+		b.writeString(string(t))
 	case RefNode:
 		if p.style == adjusted {
 			p.adjustedRef(b, t.Ref)
@@ -83,56 +146,56 @@ func (p *printer) node(b canonWriter, n Node) {
 			return
 		}
 		p.ref(b, t.From)
-		b.WriteByte(':')
+		b.writeByte(':')
 		p.ref(b, t.To)
 	case ExtRefNode:
-		b.WriteString(t.Sheet)
-		b.WriteByte('!')
+		b.writeString(t.Sheet)
+		b.writeByte('!')
 		p.ref(b, t.From)
 		if t.IsRange {
-			b.WriteByte(':')
+			b.writeByte(':')
 			p.ref(b, t.To)
 		}
 	case CallNode:
-		b.WriteString(t.Name)
-		b.WriteByte('(')
+		b.writeString(t.Name)
+		b.writeByte('(')
 		for i, a := range t.Args {
 			if i > 0 {
-				b.WriteByte(',')
+				b.writeByte(',')
 			}
 			p.node(b, a)
 		}
-		b.WriteByte(')')
+		b.writeByte(')')
 	case BinaryNode:
-		b.WriteByte('(')
+		b.writeByte('(')
 		p.node(b, t.L)
-		b.WriteString(t.Op.String())
+		b.writeString(t.Op.String())
 		p.node(b, t.R)
-		b.WriteByte(')')
+		b.writeByte(')')
 	case UnaryNode:
-		b.WriteByte('(')
+		b.writeByte('(')
 		if t.Op == "%" {
 			p.node(b, t.X)
-			b.WriteString("%)")
+			b.writeString("%)")
 			return
 		}
-		b.WriteString(t.Op)
+		b.writeString(t.Op)
 		p.node(b, t.X)
-		b.WriteByte(')')
+		b.writeByte(')')
 	}
 }
 
 // ref prints one reference read from the displaced host, in A1 or R1C1
 // form.
-func (p *printer) ref(b canonWriter, r cell.Ref) {
+func (p *printer) ref(b sink, r cell.Ref) {
 	eff := r.Shift(p.dr, p.dc)
 	if !eff.Addr.Valid() {
-		b.WriteString(cell.ErrRef)
+		b.writeString(cell.ErrRef)
 		return
 	}
 	if p.style == r1c1 {
 		writeR1C1Ref(b, eff, p.host)
 		return
 	}
-	b.WriteString(eff.String())
+	b.ref(eff)
 }

@@ -2,7 +2,6 @@ package formula
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 
@@ -32,7 +31,7 @@ import (
 // mirroring Canonical and ShiftedText.
 func R1C1Text(n Node, dr, dc int, host cell.Addr) string {
 	var b strings.Builder
-	(&printer{style: r1c1, dr: dr, dc: dc, host: host}).node(&b, n)
+	(&printer{style: r1c1, dr: dr, dc: dc, host: host}).node(sink{b: &b}, n)
 	return b.String()
 }
 
@@ -40,29 +39,29 @@ func R1C1Text(n Node, dr, dc int, host cell.Addr) string {
 // without materializing the string; the region-inference pass buckets cells
 // on this and breaks collisions with the text.
 func R1C1Hash(n Node, dr, dc int, host cell.Addr) uint64 {
-	h := hashWriter{fnv.New64a()}
-	(&printer{style: r1c1, dr: dr, dc: dc, host: host}).node(h, n)
-	return h.Sum64()
+	var h uint64
+	(&printer{style: r1c1, dr: dr, dc: dc, host: host}).node(hashSink(&h), n)
+	return h
 }
 
 // writeR1C1Ref prints an effective (displaced, on-sheet) reference
 // relative to the host cell.
-func writeR1C1Ref(b canonWriter, eff cell.Ref, host cell.Addr) {
-	b.WriteByte('R')
+func writeR1C1Ref(b sink, eff cell.Ref, host cell.Addr) {
+	b.writeByte('R')
 	writeR1C1Coord(b, eff.Addr.Row, host.Row, eff.AbsRow)
-	b.WriteByte('C')
+	b.writeByte('C')
 	writeR1C1Coord(b, eff.Addr.Col, host.Col, eff.AbsCol)
 }
 
-func writeR1C1Coord(b canonWriter, x, hostX int, abs bool) {
+func writeR1C1Coord(b sink, x, hostX int, abs bool) {
 	if abs {
-		b.WriteString(strconv.Itoa(x + 1))
+		b.int(x + 1)
 		return
 	}
 	if k := x - hostX; k != 0 {
-		b.WriteByte('[')
-		b.WriteString(strconv.Itoa(k))
-		b.WriteByte(']')
+		b.writeByte('[')
+		b.int(k)
+		b.writeByte(']')
 	}
 }
 

@@ -1,8 +1,6 @@
 package formula
 
 import (
-	"hash"
-	"hash/fnv"
 	"strings"
 
 	"repro/internal/cell"
@@ -59,7 +57,7 @@ func IsVolatileFunc(name string) bool { return volatileFuncs[name] }
 // (the precursor to the paper's §5.3/§6 shared-computation optimization).
 func ShiftedText(n Node, dr, dc int) string {
 	var b strings.Builder
-	(&printer{dr: dr, dc: dc}).node(&b, n)
+	(&printer{dr: dr, dc: dc}).node(sink{b: &b}, n)
 	return b.String()
 }
 
@@ -67,23 +65,7 @@ func ShiftedText(n Node, dr, dc int) string {
 // without materializing the string: the canonical bytes stream straight
 // into the hash. Analyzers that bucket millions of subtrees key on this.
 func SubtreeHash(n Node, dr, dc int) uint64 {
-	h := hashWriter{fnv.New64a()}
-	(&printer{dr: dr, dc: dc}).node(h, n)
-	return h.Sum64()
-}
-
-// hashWriter adapts a hash.Hash64 to the canonWriter sink the printer
-// streams into.
-type hashWriter struct {
-	hash.Hash64
-}
-
-func (h hashWriter) WriteString(s string) (int, error) {
-	// hash/fnv's Write never fails; the byte conversion does not escape.
-	return h.Write([]byte(s))
-}
-
-func (h hashWriter) WriteByte(c byte) error {
-	_, err := h.Write([]byte{c})
-	return err
+	var h uint64
+	(&printer{dr: dr, dc: dc}).node(hashSink(&h), n)
+	return h
 }

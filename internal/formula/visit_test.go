@@ -1,6 +1,10 @@
 package formula
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/cell"
+)
 
 func TestWalkVisitsAllNodes(t *testing.T) {
 	c := MustCompile(`=IF(A1>0,SUM(B1:B4),-C1)`)
@@ -73,5 +77,19 @@ func TestIsVolatileFunc(t *testing.T) {
 	}
 	if IsVolatileFunc("SUM") {
 		t.Error("SUM is not volatile")
+	}
+}
+
+// TestHashesAllocateNothing: the fingerprints stream the printed bytes
+// into an inline FNV-1a hash, references through a stack buffer, so
+// hashing a formula allocates nothing.
+func TestHashesAllocateNothing(t *testing.T) {
+	c := MustCompile(`=SUM($A$2:A200)+VLOOKUP(B2,other!A$2:C$9,3,FALSE)*IF(C2>5,"x",-D2%)`)
+	host := cell.Addr{Row: 150, Col: 30}
+	if n := testing.AllocsPerRun(100, func() { R1C1Hash(c.Root, 3, 1, host) }); n != 0 {
+		t.Errorf("R1C1Hash allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { SubtreeHash(c.Root, 3, 1) }); n != 0 {
+		t.Errorf("SubtreeHash allocates %v times per call", n)
 	}
 }

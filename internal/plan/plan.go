@@ -317,6 +317,8 @@ type StatColumn struct {
 
 // Plan is a complete workbook plan.
 type Plan struct {
+	// Sheets holds, in tab order, a plan for every sheet that hosts
+	// formulas or that a lookup site probes.
 	Sheets      []*SheetPlan `json:"sheets"`
 	Certificate *Certificate `json:"certificate,omitempty"`
 
@@ -434,6 +436,15 @@ func (b basis) num(key string, v int64) basis { return strconv.AppendInt(append(
 func (b basis) flag(key string, v bool) basis { return strconv.AppendBool(append(b, key...), v) }
 
 func (b basis) String() string { return string(b) }
+
+// put stores v under k, allocating the map on first use: most sheets
+// plan few site kinds and consult few columns.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
 
 // sortInts insertion-sorts the (short) eager-column list ascending.
 func sortInts(v []int) {

@@ -65,61 +65,21 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 		opt.Coeff = DefaultCoefficients()
 	}
 	pr := pricer{coeff: opt.Coeff}
-
-	type sheetCtx struct {
-		s      *sheet.Sheet
-		set    *siteSet
-		recalc *recalcFacts
-		coll   *Collector
-		sp     *SheetPlan
-	}
-	var ctxs []*sheetCtx
 	p := &Plan{}
+
 	// Globally merged lookup sites, keyed by the sheet whose column they
 	// probe (where the engine consults the plan).
 	sites := make(map[string]map[SiteKey]*lookupSite)
-
+	// A sheet is planned when it hosts formulas or a lookup site probes
+	// it, in tab order; a formula-free sheet nothing reads (a pivot
+	// output, say) costs a build nothing.
+	hosts := make([]*sheetCtx, 0, len(wb.Sheets()))
 	for _, s := range wb.Sheets() {
-		ver := func(col int) int64 { return 0 }
-		if opt.ColVersion != nil {
-			name := s.Name
-			ver = func(col int) int64 { return opt.ColVersion(name, col) }
+		if s.FormulaCount() == 0 {
+			continue
 		}
-		var fver int64
-		if opt.FormulaVersion != nil {
-			fver = opt.FormulaVersion(s.Name)
-		}
-		sc := newSheetCache(s)
-		if opt.Cache != nil {
-			sc = opt.Cache.sheet(s)
-		}
-		// Formula-derived analyses are reused only under a formula-set
-		// version; otherwise they are derived afresh for this build.
-		reuse := opt.Cache != nil && opt.FormulaVersion != nil
-		if !reuse || sc.fver != fver {
-			sc.fver, sc.sites, sc.recalc = fver, nil, nil
-		}
-		if sc.sites == nil {
-			sc.sites = collectSites(s)
-			p.derived.SitesBuilt++
-		} else {
-			p.derived.SitesReused++
-		}
-		ctx := &sheetCtx{
-			s:    s,
-			set:  sc.sites,
-			coll: newCollector(s, ver, fver, sc, opt.SampleCap),
-		}
-		if s.FormulaCount() > 0 {
-			if sc.recalc == nil {
-				sc.recalc = inferRecalc(s)
-				p.derived.RecalcBuilt++
-			} else {
-				p.derived.RecalcReused++
-			}
-			ctx.recalc = sc.recalc
-		}
-		ctxs = append(ctxs, ctx)
+		ctx := p.newSheetCtx(s, opt)
+		hosts = append(hosts, ctx)
 		for _, uc := range ctx.set.uses {
 			use := uc.use
 			target, local := use.target, use.target == ""
@@ -139,6 +99,17 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 			site.fn, site.mode = firstFnMode(site.fn, site.mode, use.fn, use.mode)
 			site.count += int(uc.n)
 			site.allLocal = site.allLocal && local
+		}
+	}
+	// Merge the formula-free sheets a lookup probes into the hosts, which
+	// are already in tab order.
+	ctxs := make([]*sheetCtx, 0, len(hosts))
+	for _, s := range wb.Sheets() {
+		switch {
+		case len(hosts) > 0 && hosts[0].s == s:
+			ctxs, hosts = append(ctxs, hosts[0]), hosts[1:]
+		case sites[s.Name] != nil:
+			ctxs = append(ctxs, p.newSheetCtx(s, opt))
 		}
 	}
 
@@ -176,6 +147,63 @@ func Build(wb *sheet.Workbook, opt Options) *Plan {
 	return p
 }
 
+// sheetCtx is one planned sheet's inputs and, once built, its plan.
+type sheetCtx struct {
+	s      *sheet.Sheet
+	set    *siteSet
+	recalc *recalcFacts
+	coll   *Collector
+	sp     *SheetPlan
+}
+
+// newSheetCtx gathers one sheet's planning inputs: its cache entry, site
+// inventory, statistics collector and (for a sheet hosting formulas)
+// recalc facts, reusing cached derivations while their versions hold.
+func (p *Plan) newSheetCtx(s *sheet.Sheet, opt Options) *sheetCtx {
+	ver := func(col int) int64 { return 0 }
+	if opt.ColVersion != nil {
+		name := s.Name
+		ver = func(col int) int64 { return opt.ColVersion(name, col) }
+	}
+	var fver int64
+	if opt.FormulaVersion != nil {
+		fver = opt.FormulaVersion(s.Name)
+	}
+	var sc *sheetCache
+	if opt.Cache != nil {
+		sc = opt.Cache.sheet(s)
+	} else {
+		sc = newSheetCache(s)
+	}
+	// Formula-derived analyses are reused only under a formula-set
+	// version; otherwise they are derived afresh for this build.
+	reuse := opt.Cache != nil && opt.FormulaVersion != nil
+	if !reuse || sc.fver != fver {
+		sc.fver, sc.sites, sc.recalc = fver, nil, nil
+	}
+	if sc.sites == nil {
+		sc.sites = collectSites(s)
+		p.derived.SitesBuilt++
+	} else {
+		p.derived.SitesReused++
+	}
+	ctx := &sheetCtx{
+		s:    s,
+		set:  sc.sites,
+		coll: newCollector(s, ver, fver, sc, opt.SampleCap),
+	}
+	if s.FormulaCount() > 0 {
+		if sc.recalc == nil {
+			sc.recalc = inferRecalc(s)
+			p.derived.RecalcBuilt++
+		} else {
+			p.derived.RecalcReused++
+		}
+		ctx.recalc = sc.recalc
+	}
+	return ctx
+}
+
 // buildSheetPlan makes every choice that executes against one sheet.
 func buildSheetPlan(s *sheet.Sheet, set *siteSet, recalc *recalcFacts, coll *Collector, lookups map[SiteKey]*lookupSite, pr pricer) *SheetPlan {
 	sp := &SheetPlan{
@@ -186,10 +214,6 @@ func buildSheetPlan(s *sheet.Sheet, set *siteSet, recalc *recalcFacts, coll *Col
 			Formulas: s.FormulaCount(),
 			External: s.ExternalCount(),
 		},
-		lookups: make(map[SiteKey]*Choice),
-		countIf: make(map[int]*Choice),
-		aggs:    make(map[int]*Choice),
-		builds:  make(map[int]*Choice),
 	}
 
 	var keys []SiteKey
@@ -199,22 +223,22 @@ func buildSheetPlan(s *sheet.Sheet, set *siteSet, recalc *recalcFacts, coll *Col
 	sort.Slice(keys, func(i, j int) bool { return keys[i].less(keys[j]) })
 	for _, key := range keys {
 		c := planLookup(sp.Sheet, lookups[key], coll, pr)
-		sp.lookups[key] = c
+		put(&sp.lookups, key, c)
 		sp.Choices = append(sp.Choices, c)
 	}
 
 	for _, col := range sortedCols(set.countIf) {
 		c := planCountIf(sp.Sheet, col, set.countIf[col], coll, pr)
-		sp.countIf[col] = c
+		put(&sp.countIf, col, c)
 		sp.Choices = append(sp.Choices, c)
 	}
 	for _, col := range sortedCols(set.aggs) {
 		c := planAggregate(sp.Sheet, col, set.aggs[col], pr)
-		sp.aggs[col] = c
+		put(&sp.aggs, col, c)
 		sp.Choices = append(sp.Choices, c)
 		if c.Chosen == PrefixSum {
 			b := planBuild(sp.Sheet, col, set.aggs[col], pr)
-			sp.builds[col] = b
+			put(&sp.builds, col, b)
 			sp.Choices = append(sp.Choices, b)
 		}
 	}

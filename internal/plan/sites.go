@@ -37,8 +37,9 @@ const (
 	AggUse
 )
 
-// Use is one site of a formula. Local ranges are shifted to the hosting
-// cell; cross-sheet ones keep the foreign sheet's coordinates.
+// Use is one site of a formula. Every range is shifted to the hosting
+// cell, the way the evaluator reads it; a cross-sheet one lies in the
+// foreign sheet's coordinates.
 type Use struct {
 	Kind UseKind
 	// Fn is the classified call's function name ("" for ScanUse).
@@ -99,7 +100,7 @@ func EachUse(n formula.Node, dr, dc int, visit func(Use)) {
 	case formula.RangeNode:
 		visit(Use{Cells: t.Shift(dr, dc).Cells()})
 	case formula.ExtRefNode:
-		visit(Use{Sheet: t.Sheet, Cells: t.Range().Cells()})
+		visit(Use{Sheet: t.Sheet, Cells: t.Shift(dr, dc).Cells()})
 	}
 }
 
@@ -138,7 +139,7 @@ func classify(call formula.CallNode, dr, dc int) (Use, int, bool) {
 }
 
 // classifyLookup reads a MATCH/VLOOKUP call's site: the key column and
-// span (local ranges shifted to the host cell; cross-sheet tables in the
+// span (the table shifted to the host cell, a cross-sheet one in the
 // foreign sheet's coordinates) and the literal match mode. Calls with
 // dynamic mode arguments or non-range tables are not classifiable — the
 // engine's behavior for them is not planned.
@@ -163,7 +164,7 @@ func classifyLookup(call formula.CallNode, dr, dc int) (Use, bool) {
 		if !t.IsRange {
 			return u, false
 		}
-		r = t.Range()
+		r = t.Shift(dr, dc)
 		u.Sheet = t.Sheet
 	default:
 		return u, false

@@ -46,7 +46,7 @@ func TestEachUseClassifies(t *testing.T) {
 		{"=MATCH(5,A1:A10)", []string{"lookup MATCH mode=1 col=1 rows=1..10 cells=10"}},
 		{"=MATCH(5,$A1:A10,-1)", []string{"scan cells=20"}}, // two columns once shifted
 		{"=VLOOKUP(5,A$1:C$10,2,FALSE)", []string{"lookup VLOOKUP mode=0 col=1 rows=0..9 cells=30"}},
-		{"=VLOOKUP(5,other!A1:C10,2)", []string{"lookup VLOOKUP mode=1 sheet=other col=0 rows=0..9 cells=30"}},
+		{"=VLOOKUP(5,other!A1:C10,2)", []string{"lookup VLOOKUP mode=1 sheet=other col=1 rows=1..10 cells=30"}}, // relative table shifts with the host
 		{"=VLOOKUP(5,A1:C10,2,B1)", []string{"scan cells=30"}},
 		{"=COUNTIF(A1:A10,\">3\")", []string{"countif COUNTIF col=1 rows=1..10 equality=false"}},
 		{"=COUNTIF(A1:A10,B1)", []string{"scan cells=10"}},
@@ -61,6 +61,20 @@ func TestEachUseClassifies(t *testing.T) {
 		if fmt.Sprint(got) != fmt.Sprint(c.want) {
 			t.Errorf("%s: uses %q, want %q", c.text, got, c.want)
 		}
+	}
+}
+
+// TestCrossSheetTableShiftsWithHost: a relative cross-sheet lookup table
+// is keyed on the rows the evaluator searches from the host, not on the
+// rows written at the origin.
+func TestCrossSheetTableShiftsWithHost(t *testing.T) {
+	code := formula.MustCompile("=MATCH(5,other!A2:A10,1)")
+	u, ok := Classify(code.Root.(formula.CallNode), 3, 0)
+	if !ok {
+		t.Fatal("MATCH over a cross-sheet column not classified")
+	}
+	if got, want := useText(u), "lookup MATCH mode=1 sheet=other col=0 rows=4..12 cells=9"; got != want {
+		t.Errorf("use %q, want %q", got, want)
 	}
 }
 

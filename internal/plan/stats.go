@@ -87,13 +87,11 @@ func newCollector(s *sheet.Sheet, ver func(col int) int64, fver int64, cache *sh
 		capHint = sampleCap
 	}
 	return &Collector{
-		s:      s,
-		ver:    ver,
-		fver:   fver,
-		cache:  cache,
-		cap:    capHint,
-		cols:   make(map[int]*ColumnStats),
-		sorted: make(map[[3]int]sortedFact),
+		s:     s,
+		ver:   ver,
+		fver:  fver,
+		cache: cache,
+		cap:   capHint,
 	}
 }
 
@@ -137,7 +135,7 @@ func (c *Collector) Column(col int) *ColumnStats {
 		ent.stats = c.collect(col, v)
 		c.collected++
 	}
-	c.cols[col] = ent.stats
+	put(&c.cols, col, ent.stats)
 	return ent.stats
 }
 
@@ -228,7 +226,7 @@ func (c *Collector) SortedAsc(col, r0, r1 int) (ok, static bool) {
 	} else {
 		f.ok = absint.SortedAscRun(c.s, col, r0, r1)
 	}
-	c.sorted[k] = f
+	put(&c.sorted, k, f)
 	return f.ok, f.static
 }
 

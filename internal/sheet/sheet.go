@@ -2,6 +2,7 @@ package sheet
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/cell"
 	"repro/internal/formula"
@@ -269,6 +270,10 @@ func (s *Sheet) ApplyRowPerm(perm []int) {
 type Workbook struct {
 	sheets []*Sheet
 	byName map[string]*Sheet
+	// nextSuffix remembers, per UniqueName base, the suffix below which
+	// every name is taken. Only Remove frees a name, and it forgets the
+	// memo.
+	nextSuffix map[string]int
 }
 
 // NewWorkbook returns an empty workbook.
@@ -311,6 +316,7 @@ func (w *Workbook) Remove(name string) bool {
 		return false
 	}
 	delete(w.byName, name)
+	w.nextSuffix = nil
 	for i := range w.sheets {
 		if w.sheets[i] == s {
 			w.sheets = append(w.sheets[:i], w.sheets[i+1:]...)
@@ -326,9 +332,13 @@ func (w *Workbook) UniqueName(base string) string {
 	if _, taken := w.byName[base]; !taken {
 		return base
 	}
-	for i := 2; ; i++ {
-		name := fmt.Sprintf("%s%d", base, i)
+	if w.nextSuffix == nil {
+		w.nextSuffix = make(map[string]int)
+	}
+	for i := max(w.nextSuffix[base], 2); ; i++ {
+		name := base + strconv.Itoa(i)
 		if _, taken := w.byName[name]; !taken {
+			w.nextSuffix[base] = i
 			return name
 		}
 	}

@@ -1,6 +1,7 @@
 package sheet
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/cell"
@@ -145,5 +146,29 @@ func TestEachFormulaEarlyStop(t *testing.T) {
 	s.ClearFormula(cell.MustParseAddr("A1"))
 	if s.FormulaCount() != 1 {
 		t.Error("ClearFormula")
+	}
+}
+
+// TestUniqueNameRemembersSuffix: names come out in suffix order whether or
+// not the caller adds them, and a removal frees its name again.
+func TestUniqueNameRemembersSuffix(t *testing.T) {
+	wb := NewWorkbook()
+	var got []string
+	for i := 0; i < 4; i++ {
+		name := wb.UniqueName("Pivot")
+		if again := wb.UniqueName("Pivot"); again != name {
+			t.Fatalf("UniqueName without an add = %q, then %q", name, again)
+		}
+		if err := wb.Add(New(name, 1, 1)); err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, name)
+	}
+	if want := []string{"Pivot", "Pivot2", "Pivot3", "Pivot4"}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("names %v, want %v", got, want)
+	}
+	wb.Remove("Pivot2")
+	if name := wb.UniqueName("Pivot"); name != "Pivot2" {
+		t.Errorf("after removing Pivot2, UniqueName = %q", name)
 	}
 }

@@ -1,6 +1,9 @@
 package sheet
 
-import "repro/internal/cell"
+import (
+	"repro/internal/cell"
+	"repro/internal/formula"
+)
 
 // Structural row edits. Grids move raw values; Sheet additionally moves
 // styles, visibility marks, and formula cells (the engine rewrites the
@@ -72,13 +75,7 @@ func (s *Sheet) InsertRows(at, n int) {
 		return
 	}
 	insertRowsGrid(s.grid, at, n)
-	shift := func(a cell.Addr) (cell.Addr, bool) {
-		if a.Row >= at {
-			return cell.Addr{Row: a.Row + n, Col: a.Col}, true
-		}
-		return a, true
-	}
-	s.remapCells(shift)
+	s.remapCells(formula.Edit{Boundary: at, Delta: n, Rows: true})
 	if at <= len(s.hidden) {
 		blank := make([]bool, n)
 		s.hidden = append(s.hidden[:at], append(blank, s.hidden[at:]...)...)
@@ -92,17 +89,7 @@ func (s *Sheet) DeleteRows(at, n int) {
 		return
 	}
 	deleteRowsGrid(s.grid, at, n)
-	shift := func(a cell.Addr) (cell.Addr, bool) {
-		switch {
-		case a.Row < at:
-			return a, true
-		case a.Row < at+n:
-			return cell.Addr{}, false // deleted
-		default:
-			return cell.Addr{Row: a.Row - n, Col: a.Col}, true
-		}
-	}
-	s.remapCells(shift)
+	s.remapCells(formula.Edit{Boundary: at, Delta: -n, Rows: true})
 	if at < len(s.hidden) {
 		end := at + n
 		if end > len(s.hidden) {
@@ -179,12 +166,7 @@ func (s *Sheet) InsertCols(at, n int) {
 		return
 	}
 	insertColsGrid(s.grid, at, n)
-	s.remapCells(func(a cell.Addr) (cell.Addr, bool) {
-		if a.Col >= at {
-			return cell.Addr{Row: a.Row, Col: a.Col + n}, true
-		}
-		return a, true
-	})
+	s.remapCells(formula.Edit{Boundary: at, Delta: n})
 }
 
 // DeleteCols removes columns [at, at+n); attachments inside disappear.
@@ -193,24 +175,17 @@ func (s *Sheet) DeleteCols(at, n int) {
 		return
 	}
 	deleteColsGrid(s.grid, at, n)
-	s.remapCells(func(a cell.Addr) (cell.Addr, bool) {
-		switch {
-		case a.Col < at:
-			return a, true
-		case a.Col < at+n:
-			return cell.Addr{}, false
-		default:
-			return cell.Addr{Row: a.Row, Col: a.Col - n}, true
-		}
-	})
+	s.remapCells(formula.Edit{Boundary: at, Delta: -n})
 }
 
-// remapCells rewrites the addresses of formula and style attachments.
-func (s *Sheet) remapCells(shift func(cell.Addr) (cell.Addr, bool)) {
+// remapCells moves formula and style attachments through a structural
+// edit (formula.Edit.Move, the one shift rule); attachments in a deleted
+// band disappear.
+func (s *Sheet) remapCells(e formula.Edit) {
 	if len(s.formulas) > 0 {
 		nf := make(map[cell.Addr]Formula, len(s.formulas))
 		for a, fc := range s.formulas {
-			if to, keep := shift(a); keep {
+			if to, dead := e.MoveAddr(a); !dead {
 				nf[to] = fc
 			}
 		}
@@ -219,7 +194,7 @@ func (s *Sheet) remapCells(shift func(cell.Addr) (cell.Addr, bool)) {
 	if len(s.volatiles) > 0 {
 		nv := make(map[cell.Addr]bool, len(s.volatiles))
 		for a := range s.volatiles {
-			if to, keep := shift(a); keep {
+			if to, dead := e.MoveAddr(a); !dead {
 				nv[to] = true
 			}
 		}
@@ -228,7 +203,7 @@ func (s *Sheet) remapCells(shift func(cell.Addr) (cell.Addr, bool)) {
 	if len(s.externals) > 0 {
 		ne := make(map[cell.Addr]bool, len(s.externals))
 		for a := range s.externals {
-			if to, keep := shift(a); keep {
+			if to, dead := e.MoveAddr(a); !dead {
 				ne[to] = true
 			}
 		}
@@ -237,7 +212,7 @@ func (s *Sheet) remapCells(shift func(cell.Addr) (cell.Addr, bool)) {
 	if len(s.styles) > 0 {
 		ns := make(map[cell.Addr]cell.Style, len(s.styles))
 		for a, st := range s.styles {
-			if to, keep := shift(a); keep {
+			if to, dead := e.MoveAddr(a); !dead {
 				ns[to] = st
 			}
 		}
