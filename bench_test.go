@@ -807,6 +807,32 @@ func BenchmarkRowEditPair(b *testing.B) {
 	}
 }
 
+// BenchmarkCrossSheetEdit is one ledger amount edit on the optimized
+// profile: every value change re-evaluates each cross-sheet formula of the
+// workbook (the external-refresh pass), so its allocations are the
+// tripwire for per-cell waste in that pass.
+func BenchmarkCrossSheetEdit(b *testing.B) {
+	const rows = 2000
+	eng := engine.New(engine.OptimizedProfile())
+	wb := workload.Ledger(workload.Spec{Rows: rows, Formulas: true})
+	if err := eng.Install(wb); err != nil {
+		b.Fatal(err)
+	}
+	s := wb.Sheet("ledger")
+	edit := func(i int) {
+		at := cell.Addr{Row: 1 + (i*97)%rows, Col: workload.LedgerColAmount}
+		if _, err := eng.SetCell(s, at, cell.Num(float64(1+i%500))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edit(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edit(i + 1)
+	}
+}
+
 // BenchmarkPlannerVsFixed is the plan-quality series: steady-state
 // recalculation under the planned profile against both fixed strategies
 // (always-index optimized, scan-only). The planned series must track the

@@ -273,6 +273,15 @@ func boolCoerceErrs(a typecheck.Abstract) typecheck.Errs {
 	return 0
 }
 
+// rangeOp is the operand of a displaced range; a range with a corner off
+// the sheet is #REF!, as the evaluator reads it.
+func rangeOp(r cell.Range, ext bool) absOp {
+	if !r.Start.Valid() {
+		return scalarOp(Exactly(cell.Errorf(cell.ErrRef)))
+	}
+	return absOp{rng: r, isRange: true, ext: ext}
+}
+
 // evalNode is the abstract transfer of one AST node.
 func (inf *Inference) evalNode(n formula.Node, dr, dc int) absOp {
 	switch t := n.(type) {
@@ -285,12 +294,13 @@ func (inf *Inference) evalNode(n formula.Node, dr, dc int) absOp {
 	case formula.ErrorLit:
 		return scalarOp(Exactly(cell.Errorf(string(t))))
 	case formula.RefNode:
-		return scalarOp(inf.At(t.Ref.Shift(dr, dc).Addr))
-	case formula.RangeNode:
-		return absOp{
-			rng:     t.Shift(dr, dc),
-			isRange: true,
+		a := t.Ref.Shift(dr, dc).Addr
+		if !a.Valid() {
+			return scalarOp(Exactly(cell.Errorf(cell.ErrRef)))
 		}
+		return scalarOp(inf.At(a))
+	case formula.RangeNode:
+		return rangeOp(t.Shift(dr, dc), false)
 	case formula.UnaryNode:
 		return scalarOp(inf.evalUnary(t, dr, dc))
 	case formula.BinaryNode:
@@ -302,11 +312,10 @@ func (inf *Inference) evalNode(n formula.Node, dr, dc int) absOp {
 		// references are top scalars; ranges keep their statically known
 		// extent (counts stay sound) with top cells.
 		if t.IsRange {
-			return absOp{
-				rng:     t.Shift(dr, dc),
-				isRange: true,
-				ext:     true,
-			}
+			return rangeOp(t.Shift(dr, dc), true)
+		}
+		if !t.From.Shift(dr, dc).Addr.Valid() {
+			return scalarOp(Exactly(cell.Errorf(cell.ErrRef)))
 		}
 		return scalarOp(TopValue())
 	default:
@@ -470,25 +479,15 @@ func (c *callCtx) scalarErrs() typecheck.Errs {
 	return e
 }
 
-// rangeArgErr returns EValue when the i-th argument is present and not
-// syntactically a range (SUMIF/AVERAGEIF reject non-range test and sum
-// arguments with #VALUE!). Local and cross-sheet ranges both qualify.
+// rangeArgErr returns EValue when the i-th argument is present and does not
+// evaluate to a range — a scalar, or a range with a corner off the sheet
+// (SUMIF/AVERAGEIF reject non-range test and sum arguments with #VALUE!).
+// Local and cross-sheet ranges both qualify.
 func (c *callCtx) rangeArgErr(i int) typecheck.Errs {
-	if i >= len(c.call.Args) {
+	if i >= len(c.call.Args) || c.arg(i).isRange {
 		return 0
 	}
-	switch a := c.call.Args[i].(type) {
-	case formula.RangeNode:
-		return 0
-	case formula.ExtRefNode:
-		if a.IsRange {
-			return 0
-		}
-		return typecheck.EValue
-	default:
-		// Any non-range argument shape, including nodes added later.
-		return typecheck.EValue
-	}
+	return typecheck.EValue
 }
 
 // textArgErrs joins each argument's cell errors, plus #VALUE! for

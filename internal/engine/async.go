@@ -113,6 +113,8 @@ func (e *Engine) RecalculateAsync(s *sheet.Sheet) (*AsyncRecalc, error) {
 				}
 			}
 			env.DR, env.DC = fc.DeltaAt(at)
+			// Raw writes here and below: the background goroutine cannot
+			// touch the shared optState that setCached maintains.
 			s.SetCachedValue(at, formula.Eval(fc.Code, env))
 			a.done.Add(1)
 		}

@@ -127,6 +127,10 @@ func deleteHeavyOps(t *testing.T, cfg fuzzdiff.Config, n int) []tracelang.Op {
 	for i := 0; i < 7; i++ {
 		ops = append(ops, tracelang.FormulaOp{At: at(i), Text: planted(i)})
 	}
+	ops = append(ops, tracelang.FormulaOp{
+		At:   cell.Addr{Row: 0, Col: scratch + 4},
+		Text: fmt.Sprintf("=SUM(%s:%s)", at(0).A1(), at(6).A1()),
+	})
 	key2 := cell.ColName(numCols[1])
 	for i, text := range []string{
 		fmt.Sprintf("=%s2+1", key2),

@@ -53,10 +53,11 @@ func (e *Engine) driftOn() bool {
 	return obs.Enabled() && e.prof.Opt.CostPlanner
 }
 
-// driftArm clears any pending observation before an instrumented Eval.
-// Consults from uninstrumented evaluation sites (the external-refresh
-// fixpoint, volatile re-seeding) leave a stale pending behind; arming
-// drops it so it can never close against the wrong window.
+// driftArm clears any pending observation before an instrumented Eval:
+// the calc pass (calc) and formula insertion arm around every evaluation.
+// A consult outside an armed window (a read-through re-evaluation nested
+// in another cell's Eval) can leave a stale pending behind; arming drops it
+// so it can never close against the wrong window.
 func (e *Engine) driftArm() { e.driftPend = driftPending{} }
 
 // driftClose records the pending lookup observation, measuring from the

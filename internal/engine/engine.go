@@ -304,7 +304,7 @@ func (src evalSource) Value(a cell.Addr) cell.Value {
 		env := src.e.env(src.s, src.meter, true, false)
 		env.DR, env.DC = dr, dc
 		v := formula.Eval(fc.Code, env)
-		src.s.SetCachedValue(a, v)
+		src.e.setCached(src.s, a, v)
 		return v
 	case src.e.prof.Recalc.StaleCheckOnRead:
 		src.meter.Add(costmodel.StaleCheck, 1)
@@ -385,38 +385,24 @@ func (e *Engine) refreshExternals(meter *costmodel.Meter) {
 			// Cells on a reference cycle stay pinned to #CYCLE! (the
 			// calc-chain pass wrote that); re-evaluating them here would
 			// overwrite the error with a history-dependent number.
-			_, cyclic := e.fullChain(s, meter)
-			onCycle := make(map[cell.Addr]bool, len(cyclic))
-			for _, a := range cyclic {
-				onCycle[a] = true
+			if _, cyclic := e.fullChain(s, meter); len(cyclic) > 0 {
+				onCycle := make(map[cell.Addr]bool, len(cyclic))
+				for _, a := range cyclic {
+					onCycle[a] = true
+				}
+				kept := ext[:0]
+				for _, a := range ext {
+					if !onCycle[a] {
+						kept = append(kept, a)
+					}
+				}
+				ext = kept
 			}
-			env := e.env(s, meter, false, true)
 			var changed []cell.Addr
-			for _, a := range ext {
-				fc, ok := s.Formula(a)
-				if !ok {
-					continue
-				}
-				if onCycle[a] {
-					continue
-				}
-				env.DR, env.DC = fc.DeltaAt(a)
-				v := formula.Eval(fc.Code, env)
-				old := s.Value(a)
-				// Exact (case-sensitive) equality: Value.Equal folds text
-				// case, which would mask real changes to string results.
-				if v == old {
-					continue
-				}
-				if st := e.state(s).opt; st != nil {
-					st.noteCellChange(e, s, a, old, v)
-				}
-				s.SetCachedValue(a, v)
-				changed = append(changed, a)
-			}
+			e.calc(s, ext, nil, meter, false, &changed)
 			if len(changed) > 0 {
 				changedAny = true
-				e.recalcDirty(s, changed, meter)
+				e.recalcDirty(s, changed, meter, false)
 			}
 		}
 		if !changedAny {
@@ -506,18 +492,23 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 	return order, cyclic
 }
 
-// setCached stores a formula's freshly evaluated result. The value change
-// is routed through the optimized profile's structure maintenance first:
+// setCached stores a formula's freshly evaluated result and reports whether
+// the value changed, by exact (case-sensitive) equality: Value.Equal folds
+// text case, which would mask real changes to string results. A change is
+// routed through the optimized profile's structure maintenance first:
 // formula results live in indexed columns like any other cell, and a raw
-// SetCachedValue would leave the inverted/hash/prefix structures serving
-// the stale result.
-func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) {
-	if st := e.state(s).opt; st != nil {
-		if old := s.Value(a); old != v {
-			st.noteCellChange(e, s, a, old, v)
+// SetCachedValue would leave the indexes, the prefix sums and the
+// aggregates materialized over the column serving the stale result.
+func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) bool {
+	old := s.Value(a)
+	changed := old != v
+	if changed {
+		if st := e.state(s).opt; st != nil {
+			st.noteCellChange(e, a, old, v)
 		}
 	}
 	s.SetCachedValue(a, v)
+	return changed
 }
 
 // evalAll evaluates every formula on the sheet in dependency order,
@@ -525,37 +516,66 @@ func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) {
 func (e *Engine) evalAll(s *sheet.Sheet, meter *costmodel.Meter) {
 	sp := obs.Start("engine.eval_all")
 	order, cyclic := e.fullChain(s, meter)
-	e.evalChain(s, order, cyclic, meter)
+	e.calc(s, order, cyclic, meter, false, nil)
 	sp.Int("cells", int64(len(order)+len(cyclic))).End()
 }
 
-// evalChain evaluates a sequenced calc chain: order in dependency order,
-// then #CYCLE! into every cyclic cell. Results go through setCached, so
-// the derived state follows every changed value.
-func (e *Engine) evalChain(s *sheet.Sheet, order, cyclic []cell.Addr, meter *costmodel.Meter) {
+// calc is the engine's one calc pass. It evaluates the formula cells of
+// order in the given order, then writes #CYCLE! into every cyclic cell;
+// every result goes through setCached, so the derived state follows each
+// changed value. A cell the value certificate proves constant is skipped
+// while its cached value still holds the constant. With deltas set, a
+// materialized aggregate is not evaluated: the running state noteCellChange
+// keeps is written instead (SetCell's incremental path). When changed is
+// non-nil, the cells of order whose value changed are appended to it.
+func (e *Engine) calc(s *sheet.Sheet, order, cyclic []cell.Addr, meter *costmodel.Meter, deltas bool, changed *[]cell.Addr) {
 	env := e.env(s, meter, false, true)
+	var aggs map[cell.Addr]*aggMat // nil map: nothing is served from deltas
+	if deltas {
+		aggs = e.state(s).opt.aggs
+	}
+	// A write inside the pass can retire the value certificate, so it is
+	// checked per cell; versions only advance, so the first miss ends the
+	// checks.
+	fold := e.prof.Opt.ValueCerts
+	drift := e.driftOn()
 	for _, a := range order {
 		fc, ok := s.Formula(a)
 		if !ok {
 			continue
 		}
-		// Certified-constant fold: the inference proved the formula always
-		// evaluates to this exact value under the installed formula set
-		// and inputs, both still version-current; the cached-value guard
-		// is the per-use soundness check on top. Skipping is charged like
-		// the staleness check it amounts to.
-		if cv, isConst := e.certConst(s, a); isConst && s.Value(a) == cv {
-			meter.Add(costmodel.StaleCheck, 1)
-			continue
+		var v cell.Value
+		if m := aggs[a]; m != nil {
+			v = m.value()
+		} else {
+			// Certified-constant fold: the inference proved the formula
+			// always evaluates to this exact value under the installed
+			// formula set and inputs, both still version-current; the
+			// cached-value guard is the per-use soundness check on top.
+			// Skipping is charged like the staleness check it amounts to.
+			if fold {
+				if ce := e.validValueCert(s); ce == nil {
+					fold = false
+				} else if cv, isConst := ce.skips[a]; isConst && s.Value(a) == cv {
+					meter.Add(costmodel.StaleCheck, 1)
+					continue
+				}
+			}
+			env.DR, env.DC = fc.DeltaAt(a)
+			// Arm/close the drift window around the evaluation, before
+			// setCached: the structure maintenance a changed result triggers
+			// is maintenance work, not part of the lookup the gate priced.
+			if drift {
+				e.driftArm()
+			}
+			v = formula.Eval(fc.Code, env)
+			if drift {
+				e.driftClose()
+			}
 		}
-		env.DR, env.DC = fc.DeltaAt(a)
-		// Arm/close the drift window around the evaluation, before setCached:
-		// the structure maintenance a changed result triggers is maintenance
-		// work, not part of the lookup the gate priced.
-		e.driftArm()
-		v := formula.Eval(fc.Code, env)
-		e.driftClose()
-		e.setCached(s, a, v)
+		if e.setCached(s, a, v) && changed != nil {
+			*changed = append(*changed, a)
+		}
 	}
 	for _, a := range cyclic {
 		e.setCached(s, a, cell.Errorf(cell.ErrCycle))
@@ -613,55 +633,23 @@ func (e *Engine) resequence(s *sheet.Sheet, meter *costmodel.Meter) {
 }
 
 // recalcDirty evaluates the transitive dependents of the changed cells in
-// dependency order, charging the given meter; returns how many formulae
-// were recomputed.
-func (e *Engine) recalcDirty(s *sheet.Sheet, changed []cell.Addr, meter *costmodel.Meter) (evaluated int) {
+// dependency order, charging the given meter; deltas serves materialized
+// aggregates from their running state (see calc).
+func (e *Engine) recalcDirty(s *sheet.Sheet, changed []cell.Addr, meter *costmodel.Meter, deltas bool) {
 	sp := obs.Start("engine.recalc_dirty").Int("seeds", int64(len(changed)))
-	defer func() {
-		e.met.cellsEvaluated.Add(int64(evaluated))
-		sp.Int("evaluated", int64(evaluated)).End()
-	}()
+	if deltas {
+		sp.Str("source", "deltas")
+	}
 	// Volatile formulae (NOW, RAND, ...) refresh on every calculation
 	// pass in all three systems; seed them alongside the real changes so
 	// their dependents recompute too.
-	vol := s.VolatileCells()
-	if len(vol) > 0 {
-		env := e.env(s, meter, false, true)
-		for _, a := range vol {
-			fc, ok := s.Formula(a)
-			if !ok {
-				continue
-			}
-			env.DR, env.DC = fc.DeltaAt(a)
-			e.setCached(s, a, formula.Eval(fc.Code, env))
-		}
+	if vol := s.VolatileCells(); len(vol) > 0 {
+		e.calc(s, vol, nil, meter, false, nil)
 		changed = append(append([]cell.Addr(nil), changed...), vol...)
 	}
 	order, cyclic := e.dirtyOrder(s, changed, meter)
-	env := e.env(s, meter, false, true)
-	for _, a := range order {
-		fc, ok := s.Formula(a)
-		if !ok {
-			continue
-		}
-		// Certified-constant fold under the per-use value guard; see
-		// evalAll. A dirty constant implies a precedent changed, which
-		// already invalidated the certificate, so this only fires for
-		// cells dirtied en masse (volatile co-seeding) whose claims hold.
-		if cv, isConst := e.certConst(s, a); isConst && s.Value(a) == cv {
-			meter.Add(costmodel.StaleCheck, 1)
-			continue
-		}
-		env.DR, env.DC = fc.DeltaAt(a)
-		e.driftArm()
-		v := formula.Eval(fc.Code, env)
-		e.driftClose()
-		e.setCached(s, a, v)
-	}
-	for _, a := range cyclic {
-		e.setCached(s, a, cell.Errorf(cell.ErrCycle))
-	}
-	return len(order) + len(cyclic)
+	e.calc(s, order, cyclic, meter, deltas, nil)
+	sp.Int("evaluated", int64(len(order)+len(cyclic))).End()
 }
 
 // classifyFormula maps a compiled formula to the operation kind used for

@@ -129,6 +129,8 @@ func (e *Engine) runStages(s *sheet.Sheet, cert *interfere.Cert, rg *regions.Gra
 						continue
 					}
 					env.DR, env.DC = fc.DeltaAt(at)
+					// A raw write: workers cannot touch the shared optState
+					// that setCached maintains.
 					s.SetCachedValue(at, formula.Eval(fc.Code, env))
 				}
 			}(w, parts[w])

@@ -11,8 +11,10 @@ import (
 // at engine construction; every update is gated (and dropped) inside the obs
 // layer while tracing is off.
 type engineMetrics struct {
-	// cellsEvaluated counts formula cells recomputed by calc passes
-	// (evalAll, recalcDirty) — the recalc attribution denominator.
+	// cellsEvaluated counts the formula cells every calc pass (calc)
+	// visits: full and dirty recalculation, volatile re-seeding, the
+	// external refresh, sort re-evaluation and pasted formulas — the recalc
+	// attribution denominator.
 	cellsEvaluated *obs.Counter
 	// opSimMS is the simulated latency distribution of metered operations,
 	// with the paper's 500 ms interactivity bound as a bucket boundary.

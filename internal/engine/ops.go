@@ -214,42 +214,29 @@ func (e *Engine) evalNonRowLocal(s *sheet.Sheet, meter *costmodel.Meter) {
 	// A non-row-local formula can read another one (an aggregate over a
 	// column holding moved formulas), so the survivors of the necessity
 	// analysis must evaluate in dependency order, not discovery order.
+	// Cells on a reference cycle display #CYCLE!, as under evalAll.
 	order, cyclic := e.fullChain(s, meter)
-	env := e.env(s, meter, false, true)
 	var changed []cell.Addr
-	evalAt := func(a cell.Addr) {
-		fc, ok := s.Formula(a)
-		if !ok {
-			return
-		}
-		env.DR, env.DC = fc.DeltaAt(a)
-		v := formula.Eval(fc.Code, env)
-		if v != s.Value(a) {
-			changed = append(changed, a)
-		}
-		e.setCached(s, a, v)
-	}
-	for _, a := range order {
-		if recalc[a] {
-			evalAt(a)
-		}
-	}
-	for _, a := range cyclic {
-		if recalc[a] {
-			// Match evalAll: cells on a reference cycle display #CYCLE!,
-			// they are never plainly re-evaluated (that would make their
-			// value depend on evaluation history).
-			e.setCached(s, a, cell.Errorf(cell.ErrCycle))
-		}
-	}
+	e.calc(s, pick(order, recalc), pick(cyclic, recalc), meter, false, &changed)
 	// The necessity analysis exempts row-local formulae because their
 	// same-row inputs move with them — but when a re-evaluated survivor
 	// (say a cross-sheet lookup) lands on a NEW value, its dependents'
 	// caches are stale no matter how local they are. Propagate exactly
 	// those changes.
 	if len(changed) > 0 {
-		e.recalcDirty(s, changed, meter)
+		e.recalcDirty(s, changed, meter, false)
 	}
+}
+
+// pick returns the addresses in keep, in their order.
+func pick(addrs []cell.Addr, keep map[cell.Addr]bool) []cell.Addr {
+	var out []cell.Addr
+	for _, a := range addrs {
+		if keep[a] {
+			out = append(out, a)
+		}
+	}
+	return out
 }
 
 // Filter hides the rows of the used range whose value in the given column
@@ -476,7 +463,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 			}
 			nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
 			e.removeFormula(s, a)
-			st.noteCellChange(e, s, a, v, nv)
+			st.noteCellChange(e, a, v, nv)
 			s.SetValue(a, nv)
 			e.meter.Add(costmodel.CellWrite, 1)
 			changed = append(changed, a)
@@ -495,7 +482,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 				nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
 				e.removeFormula(s, a)
 				if st != nil {
-					st.noteCellChange(e, s, a, v, nv)
+					st.noteCellChange(e, a, v, nv)
 				}
 				s.SetValue(a, nv)
 				e.meter.Add(costmodel.CellWrite, 1)
@@ -510,7 +497,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 		}
 	}
 	if len(changed) > 0 && s.FormulaCount() > 0 {
-		e.recalcDirty(s, changed, &e.meter)
+		e.recalcDirty(s, changed, &e.meter, false)
 	}
 	if len(changed) > 0 {
 		e.refreshExternals(&e.meter)
@@ -551,8 +538,10 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 				s.AttachFormula(to, fc)
 				if st != nil {
 					// As for an inserted formula (noteFormulaResult): the
-					// column's typed-value certificate no longer holds.
+					// column's typed-value certificate no longer holds, and
+					// an aggregate materialized at to retires.
 					delete(st.typed, to.Col)
+					delete(st.aggs, to)
 				}
 				fdr, fdc := fc.DeltaAt(to)
 				g.SetFormula(to, fc.Code.PrecedentRanges(fdr, fdc))
@@ -567,7 +556,7 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 			v := s.Value(from)
 			e.removeFormula(s, to)
 			if st != nil {
-				st.noteCellChange(e, s, to, old, v)
+				st.noteCellChange(e, to, old, v)
 			}
 			s.SetValue(to, v)
 			if old != v {
@@ -580,22 +569,10 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 	csp.End()
 
 	esp := obs.Start("paste.eval").Int("formulas", int64(len(pasted)))
-	env := e.env(s, &e.meter, false, true)
-	for _, a := range pasted {
-		fc, _ := s.Formula(a)
-		env.DR, env.DC = fc.DeltaAt(a)
-		v := formula.Eval(fc.Code, env)
-		if old := s.Value(a); old != v {
-			if st != nil {
-				st.noteCellChange(e, s, a, old, v)
-			}
-			changed = append(changed, a)
-		}
-		s.SetCachedValue(a, v)
-	}
+	e.calc(s, pasted, nil, &e.meter, false, &changed)
 	esp.End()
 	if len(changed) > 0 && s.FormulaCount() > 0 {
-		e.recalcDirty(s, changed, &e.meter)
+		e.recalcDirty(s, changed, &e.meter, false)
 	}
 	e.refreshExternals(&e.meter)
 	out := cell.RangeOf(dst, cell.Addr{Row: src.End.Row + dr, Col: src.End.Col + dc})
@@ -629,36 +606,16 @@ func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.V
 	// Interactive inserts pay text parsing, not the heavyweight load-time
 	// compile-and-sequence cost (FormulaCompile) that Open charges.
 	e.meter.Add(costmodel.ParseByte, int64(len(text)))
-
-	s.SetFormula(a, compiled)
-	g := e.graph(s)
-	g.ResetOps()
-	g.SetFormula(a, compiled.PrecedentRanges(0, 0))
-	e.meter.Add(costmodel.DepOp, g.Ops())
-	g.ResetOps()
-
 	esp := obs.Start("insert.eval")
-	var v cell.Value
-	computed := false
-	st := e.state(s).opt
-	if st != nil {
-		v, computed = st.fastEval(e, s, compiled)
-	}
-	if computed {
-		e.met.fastEvalHits.Add(1)
+	// A nil env evaluates with read-through: an interactive insert reads
+	// its precedents the way the profile serves any cell read.
+	v, fast := e.insert(s, a, compiled, nil)
+	if fast {
 		esp.Str("source", "fast_path")
 	} else {
-		env := e.env(s, &e.meter, false, false)
-		e.driftArm()
-		v = formula.Eval(compiled, env)
-		e.driftClose()
 		esp.Str("source", "eval")
 	}
 	esp.End()
-	e.setCached(s, a, v)
-	if st != nil {
-		st.noteFormulaResult(e, s, a, compiled, v)
-	}
 	e.refreshExternals(&e.meter)
 	if e.prof.Web {
 		if err := e.netCall(64); err != nil {
@@ -666,6 +623,39 @@ func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.V
 		}
 	}
 	return v, t.finish(), nil
+}
+
+// insert is the one body of formula insertion: it attaches the compiled
+// formula at a, registers its precedents, computes its value (an
+// optimization fast path, else a drift-armed evaluation under env; nil
+// means the read-through env) and stores it. fast reports a fast-path
+// answer.
+func (e *Engine) insert(s *sheet.Sheet, a cell.Addr, c *formula.Compiled, env *formula.Env) (v cell.Value, fast bool) {
+	ss := e.state(s)
+	s.SetFormula(a, c)
+	ss.g.ResetOps()
+	ss.g.SetFormula(a, c.PrecedentRanges(0, 0))
+	e.meter.Add(costmodel.DepOp, ss.g.Ops())
+	ss.g.ResetOps()
+	st := ss.opt
+	if st != nil {
+		v, fast = st.fastEval(e, s, c)
+	}
+	if fast {
+		e.met.fastEvalHits.Add(1)
+	} else {
+		if env == nil {
+			env = e.env(s, &e.meter, false, false)
+		}
+		e.driftArm()
+		v = formula.Eval(c, env)
+		e.driftClose()
+	}
+	e.setCached(s, a, v)
+	if st != nil {
+		st.noteFormulaResult(e, s, a, c, v)
+	}
+	return v, fast
 }
 
 // BatchItem is one formula of a bulk fill.
@@ -688,8 +678,6 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 	}
 	t := e.begin(OpBatchInsert)
 	bsp := obs.Start("batch.fill").Int("items", int64(len(items)))
-	ss := e.state(s)
-	g, st := ss.g, ss.opt
 	env := e.env(s, &e.meter, false, true)
 	for _, it := range items {
 		compiled, err := formula.Compile(it.Text)
@@ -699,28 +687,7 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 		}
 		e.meter.Add(costmodel.ParseByte, int64(len(it.Text)))
 		e.meter.Add(costmodel.APICall, 1)
-		s.SetFormula(it.At, compiled)
-		g.ResetOps()
-		g.SetFormula(it.At, compiled.PrecedentRanges(0, 0))
-		e.meter.Add(costmodel.DepOp, g.Ops())
-		g.ResetOps()
-
-		var v cell.Value
-		computed := false
-		if st != nil {
-			v, computed = st.fastEval(e, s, compiled)
-		}
-		if computed {
-			e.met.fastEvalHits.Add(1)
-		} else {
-			e.driftArm()
-			v = formula.Eval(compiled, env)
-			e.driftClose()
-		}
-		e.setCached(s, it.At, v)
-		if st != nil {
-			st.noteFormulaResult(e, s, it.At, compiled, v)
-		}
+		e.insert(s, it.At, compiled, env)
 	}
 	bsp.End()
 	e.refreshExternals(&e.meter)
@@ -749,7 +716,7 @@ func (e *Engine) SetCell(s *sheet.Sheet, a cell.Addr, v cell.Value) (Result, err
 		// replacements plus the O(1) aggregate deltas the plan's maintenance
 		// choice priced per column.
 		rec, pred, snap := e.driftMaintBegin(s, a.Col)
-		st.noteCellChange(e, s, a, old, v)
+		st.noteCellChange(e, a, old, v)
 		if rec {
 			e.driftRecord(gateDeltaMaint, pred, e.meter.Sub(snap))
 		}
@@ -761,13 +728,9 @@ func (e *Engine) SetCell(s *sheet.Sheet, a cell.Addr, v cell.Value) (Result, err
 			return t.finish(), err
 		}
 	}
-
-	if st != nil && e.prof.Opt.IncrementalAggregates && e.plannedDeltas(s) {
-		dsp := obs.Start("setcell.deltas")
-		st.applyDeltas(e, s, a, old, v)
-		dsp.End()
-	} else if s.FormulaCount() > 0 {
-		e.recalcDirty(s, []cell.Addr{a}, &e.meter)
+	deltas := st != nil && e.prof.Opt.IncrementalAggregates && e.plannedDeltas(s)
+	if deltas || s.FormulaCount() > 0 {
+		e.recalcDirty(s, []cell.Addr{a}, &e.meter, deltas)
 	}
 	e.refreshExternals(&e.meter)
 	return t.finish(), nil

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"path/filepath"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/costmodel"
 	"repro/internal/iolib"
+	"repro/internal/sheet"
 	"repro/internal/workload"
 )
 
@@ -58,6 +60,56 @@ func TestSortFormulaValuesStayCorrect(t *testing.T) {
 			if got.Num != want {
 				t.Fatalf("%s: K at row %d (id %d) = %v, want %v", sys, dr, id, got.Num, want)
 			}
+		}
+	}
+}
+
+// TestOffSheetRefsRoundTrip: a sort that moves a formula above the rows
+// it reads leaves its references off the sheet. They evaluate to #REF!,
+// and the saved workbook prints them so that it reopens, on a fresh excel
+// install, to the same values.
+func TestOffSheetRefsRoundTrip(t *testing.T) {
+	for _, profile := range []string{"excel", "optimized"} {
+		for _, text := range []string{"=A4+1", "=SUM(A4:A5)"} {
+			t.Run(profile+" "+text, func(t *testing.T) {
+				s := sheet.New("s", 6, 2)
+				for r := 1; r < 6; r++ {
+					s.SetValue(cell.Addr{Row: r}, cell.Num(float64(10-r)))
+				}
+				wb := sheet.NewWorkbook()
+				if err := wb.Add(s); err != nil {
+					t.Fatal(err)
+				}
+				eng := New(Profiles()[profile])
+				if err := eng.Install(wb); err != nil {
+					t.Fatal(err)
+				}
+				mustInsert(t, eng, s, "B6", text)
+				// A6 holds the smallest key: its row, formula included,
+				// moves to row 2, two rows below the sheet's top edge.
+				if _, err := eng.Sort(s, 0, true, 1); err != nil {
+					t.Fatal(err)
+				}
+				live := s.Value(a("B2"))
+				if live != cell.Errorf(cell.ErrRef) {
+					t.Errorf("B2 = %v after the sort, want #REF!", live)
+				}
+				var buf bytes.Buffer
+				if err := iolib.WriteWorkbook(&buf, wb); err != nil {
+					t.Fatal(err)
+				}
+				saved := buf.String()
+				res, err := iolib.ReadWorkbook(&buf)
+				if err != nil {
+					t.Fatalf("saved workbook does not reopen: %v\n%s", err, saved)
+				}
+				if err := New(Profiles()["excel"]).Install(res.Workbook); err != nil {
+					t.Fatal(err)
+				}
+				if got := res.Workbook.First().Value(a("B2")); got != live {
+					t.Errorf("B2 = %v reopened, %v live\n%s", got, live, saved)
+				}
+			})
 		}
 	}
 }

@@ -395,10 +395,12 @@ func (st *optState) countIfIndexed(e *Engine, s *sheet.Sheet, col, r0, r1 int, l
 // noteFormulaResult records a computed formula in the fingerprint cache and
 // registers qualifying aggregates for incremental maintenance.
 func (st *optState) noteFormulaResult(e *Engine, s *sheet.Sheet, at cell.Addr, c *formula.Compiled, v cell.Value) {
-	// A formula now lives in this column; its future re-evaluations write
-	// caches directly (no per-cell notification), so the value-column
-	// certificate no longer holds.
+	// A formula now lives in this column, which the value-column
+	// certificate excludes, and any aggregate materialized here retires
+	// with the formula it served (re-registered below if the new one
+	// qualifies).
 	delete(st.typed, at.Col)
+	delete(st.aggs, at)
 	// External formulae are excluded alongside volatiles: a fingerprint hit
 	// would serve a value computed against another sheet's earlier state,
 	// and the version guard only tracks this sheet.
@@ -453,13 +455,19 @@ func (st *optState) noteFormulaResult(e *Engine, s *sheet.Sheet, at cell.Addr, c
 
 // noteCellChange maintains every built structure for one cell's value
 // change, and applies O(1) deltas to the materialized aggregates covering
-// it. Called before the sheet is updated (old is still in place).
-func (st *optState) noteCellChange(e *Engine, s *sheet.Sheet, a cell.Addr, old, new cell.Value) {
+// it. Called before the sheet is updated (old is still in place). The calc
+// pass that follows writes each host's new value through setCached, which
+// maintains the host's own column in turn.
+func (st *optState) noteCellChange(e *Engine, a cell.Addr, old, new cell.Value) {
 	st.version++
 	st.colVer[a.Col] = st.version
-	// Writing over a cell that hosted a materialized aggregate retires the
-	// materialization (the formula itself is being replaced by a value).
-	delete(st.aggs, a)
+	// A host evaluated to other than its running state retires its
+	// materialization: the state was inexact (a prefix-sum difference over
+	// fractional values at registration), and the next edit recomputes the
+	// formula for real.
+	if m := st.aggs[a]; m != nil && m.value() != new {
+		delete(st.aggs, a)
+	}
 	// A non-numeric write into a data row breaks the column's all-numeric
 	// certificate for good; future fills fall back to generic dispatch.
 	// (Header-row writes are outside the certificate.)
@@ -495,21 +503,39 @@ func (st *optState) noteCellChange(e *Engine, s *sheet.Sheet, a cell.Addr, old, 
 		if !m.rng.Contains(a) {
 			continue
 		}
-		if m.kind != aggCountIf && (old.IsError() || new.IsError()) {
-			// An error value entering (or leaving) the range switches the
-			// aggregate between numeric and error results; the running
-			// numeric state cannot express that. Retire the
-			// materialization — the caller's recalc pass recomputes the
-			// formula for real. (COUNTIF keeps its delta: criteria treat
-			// error cells as ordinary non-matching values.)
+		if !m.exact(old, new) {
+			// Retire the materialization; the caller's recalc pass
+			// recomputes the formula for real.
 			delete(st.aggs, at)
 			continue
 		}
 		m.applyDelta(e, old, new)
-		s.SetCachedValue(at, m.value())
-		e.meter.Add(costmodel.CellWrite, 1)
+		e.meter.Add(costmodel.CellWrite, 1) // the host's write
 	}
 }
+
+// exact reports whether the delta old -> new keeps the running state equal
+// to a fresh evaluation. COUNTIF criteria treat error cells as ordinary
+// non-matching values, but an error entering or leaving the range switches
+// SUM/COUNT/AVERAGE between numeric and error results, which the running
+// state cannot express. And a floating-point sum depends on the order of
+// its terms unless every term is an integer: a delta on anything else
+// would drift from the evaluator's left-to-right sum.
+func (m *aggMat) exact(old, new cell.Value) bool {
+	switch {
+	case m.kind == aggCountIf:
+		return true
+	case old.IsError() || new.IsError():
+		return false
+	case m.kind == aggCount:
+		return true
+	}
+	return integral(m.sum) && (old.Kind != cell.Number || integral(old.Num)) &&
+		(new.Kind != cell.Number || integral(new.Num))
+}
+
+// integral reports whether x is an integer float64 represents exactly.
+func integral(x float64) bool { return x == math.Trunc(x) && math.Abs(x) <= 1<<53 }
 
 // applyDelta updates the running aggregate state for old -> new.
 func (m *aggMat) applyDelta(e *Engine, old, new cell.Value) {
@@ -532,47 +558,6 @@ func (m *aggMat) applyDelta(e *Engine, old, new cell.Value) {
 			m.n++
 		}
 		e.meter.Add(costmodel.IndexProbe, 1)
-	}
-}
-
-// applyDeltas finishes a SetCell under incremental maintenance: aggregates
-// were already updated by noteCellChange; any remaining (non-materialized)
-// dependent formulae recompute normally.
-func (st *optState) applyDeltas(e *Engine, s *sheet.Sheet, a cell.Addr, old, new cell.Value) {
-	seeds := []cell.Addr{a}
-	// Volatile formulae refresh on every calculation pass, exactly as in
-	// recalcDirty; without this seeding the incremental path would diverge
-	// from the naive profiles on sheets hosting NOW/RAND formulae.
-	if vol := s.VolatileCells(); len(vol) > 0 {
-		venv := e.env(s, &e.meter, false, true)
-		for _, va := range vol {
-			fc, ok := s.Formula(va)
-			if !ok {
-				continue
-			}
-			venv.DR, venv.DC = fc.DeltaAt(va)
-			e.setCached(s, va, formula.Eval(fc.Code, venv))
-		}
-		seeds = append(seeds, vol...)
-	}
-	order, cyclic := e.dirtyOrder(s, seeds, &e.meter)
-	env := e.env(s, &e.meter, false, true)
-	for _, fa := range order {
-		if _, materialized := st.aggs[fa]; materialized {
-			continue // already up to date via the delta
-		}
-		fc, ok := s.Formula(fa)
-		if !ok {
-			continue
-		}
-		env.DR, env.DC = fc.DeltaAt(fa)
-		e.driftArm()
-		v := formula.Eval(fc.Code, env)
-		e.driftClose()
-		e.setCached(s, fa, v)
-	}
-	for _, fa := range cyclic {
-		e.setCached(s, fa, cell.Errorf(cell.ErrCycle))
 	}
 }
 

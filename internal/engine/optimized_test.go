@@ -7,6 +7,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/costmodel"
 	"repro/internal/formula"
+	"repro/internal/sheet"
 	"repro/internal/workload"
 )
 
@@ -155,6 +156,42 @@ func TestIncrementalSumAndAverage(t *testing.T) {
 	}
 	if got := s.Value(a("R3")).Num; got != (sum0+10)/100 {
 		t.Errorf("AVERAGE after delta = %v, want %v", got, (sum0+10)/100)
+	}
+}
+
+// TestAggregateOverMaterializedHost chains two materialized aggregates: C2
+// sums the column hosting B2's sum. A delta into B2 is a value change like
+// any other, so it must reach column B's prefix sums and C2's running
+// state; otherwise C2 keeps its pre-edit value.
+func TestAggregateOverMaterializedHost(t *testing.T) {
+	for _, profile := range []string{"excel", "optimized", "planned"} {
+		t.Run(profile, func(t *testing.T) {
+			s := sheet.New("m", 12, 3)
+			for r := 1; r < 12; r++ {
+				s.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
+			}
+			wb := sheet.NewWorkbook()
+			if err := wb.Add(s); err != nil {
+				t.Fatal(err)
+			}
+			eng := New(Profiles()[profile])
+			if err := eng.Install(wb); err != nil {
+				t.Fatal(err)
+			}
+			mustInsert(t, eng, s, "B2", "=SUM(A2:A12)")
+			if got := mustInsert(t, eng, s, "C2", "=SUM(B2:B12)"); got.Num != 66 {
+				t.Fatalf("C2 = %v before the edit, want 66", got)
+			}
+			if _, err := eng.SetCell(s, a("A3"), cell.Num(100)); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Value(a("C2")); got != cell.Num(164) {
+				t.Errorf("C2 = %v after A3 = 100, want 164", got)
+			}
+			if err := checkDerived(eng); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

@@ -38,6 +38,6 @@ func (e *Engine) RecalculateParallel(s *sheet.Sheet, workers int) (Result, error
 		}
 		return t.finish(), nil
 	}
-	e.evalChain(s, order, cyclic, &e.meter)
+	e.calc(s, order, cyclic, &e.meter, false, nil)
 	return t.finish(), nil
 }

@@ -43,10 +43,15 @@ func (e *Engine) regionsFor(s *sheet.Sheet, meter *costmodel.Meter) *regions.Gra
 
 // removeFormula takes the formula at a, if any, out of the dependency
 // graph before a literal lands on the cell (an edit, a paste, or a
-// find-replace over a formula's text result).
+// find-replace over a formula's text result). An aggregate materialized at
+// a retires with it.
 func (e *Engine) removeFormula(s *sheet.Sheet, a cell.Addr) {
 	if _, ok := s.Formula(a); ok {
-		e.graph(s).RemoveFormula(a)
+		ss := e.state(s)
+		ss.g.RemoveFormula(a)
+		if ss.opt != nil {
+			delete(ss.opt.aggs, a)
+		}
 		e.noteFormulaRemoved(s, a, &e.meter)
 	}
 }

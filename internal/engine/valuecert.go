@@ -102,21 +102,6 @@ func (e *Engine) ValueCert(s *sheet.Sheet) *absint.SheetCert {
 	return e.issueValueCert(s).cert
 }
 
-// certConst returns the certified constant for a formula cell when the
-// certificate is still valid. The caller must additionally guard with the
-// cached value before skipping evaluation.
-func (e *Engine) certConst(s *sheet.Sheet, a cell.Addr) (cell.Value, bool) {
-	if !e.prof.Opt.ValueCerts {
-		return cell.Value{}, false
-	}
-	ce := e.validValueCert(s)
-	if ce == nil {
-		return cell.Value{}, false
-	}
-	cv, ok := ce.skips[a]
-	return cv, ok
-}
-
 // certNumericCol reports whether the value certificate proves every
 // data-row cell of the column (rows 1..Rows()-1, row 0 being the header)
 // is an error-free Number — the same contract the typed value columns

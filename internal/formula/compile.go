@@ -130,15 +130,20 @@ func (c *Compiled) PrecedentCells() int {
 // PrecedentRanges returns every precedent (single refs as 1x1 ranges) with
 // relative components translated by (dr, dc) — the displacement of the cell
 // hosting the formula from where its text was authored. The engine uses
-// this for dependency-graph registration.
+// this for dependency-graph registration. A reference or range off the
+// sheet reads nothing (it evaluates to #REF!), so it is no precedent.
 func (c *Compiled) PrecedentRanges(dr, dc int) []cell.Range {
 	out := make([]cell.Range, 0, len(c.Refs)+len(c.Ranges))
 	for _, r := range c.Refs {
-		out = append(out, cell.SingleCell(r.Shift(dr, dc).Addr))
+		if a := r.Shift(dr, dc).Addr; a.Valid() {
+			out = append(out, cell.SingleCell(a))
+		}
 	}
 	walk(c.Root, func(n Node) {
 		if t, ok := n.(RangeNode); ok {
-			out = append(out, t.Shift(dr, dc))
+			if r := t.Shift(dr, dc); r.Start.Valid() {
+				out = append(out, r)
+			}
 		}
 	})
 	return out

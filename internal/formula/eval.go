@@ -97,7 +97,9 @@ func (e *Env) rand() float64 {
 }
 
 // value reads one cell, charging one reference resolution and one cell
-// touch — the cell-by-cell reference model of §5.3.
+// touch — the cell-by-cell reference model of §5.3. An address off the
+// sheet (a reference displaced past its top or left edge) reads #REF!, as
+// the printer renders it.
 func (e *Env) value(a cell.Addr) cell.Value {
 	return e.valueFrom(e.Src, a)
 }
@@ -105,6 +107,9 @@ func (e *Env) value(a cell.Addr) cell.Value {
 // valueFrom is value against an explicit source (the host sheet or a
 // foreign sheet resolved from a cross-sheet reference).
 func (e *Env) valueFrom(src Source, a cell.Addr) cell.Value {
+	if !a.Valid() {
+		return cell.Errorf(cell.ErrRef)
+	}
 	e.add(costmodel.RefResolve, 1)
 	e.add(costmodel.CellTouch, 1)
 	return src.Value(a)
@@ -168,6 +173,16 @@ func (o operand) eachCell(e *Env, f func(v cell.Value) bool) {
 	}
 }
 
+// rangeOp is the operand of a displaced range read from src (nil = the host
+// sheet). A range with a corner off the sheet is #REF!, as the printer
+// renders it.
+func rangeOp(r cell.Range, src Source) operand {
+	if !r.Start.Valid() {
+		return scalarOp(cell.Errorf(cell.ErrRef))
+	}
+	return operand{rng: r, isRange: true, src: src}
+}
+
 // Eval evaluates a compiled formula, charging one FormulaEval plus the work
 // of every reference it resolves.
 func Eval(c *Compiled, env *Env) cell.Value {
@@ -196,7 +211,7 @@ func evalNode(n Node, env *Env) operand {
 	case RefNode:
 		return scalarOp(env.value(t.Ref.Shift(env.DR, env.DC).Addr))
 	case RangeNode:
-		return operand{rng: t.Shift(env.DR, env.DC), isRange: true}
+		return rangeOp(t.Shift(env.DR, env.DC), nil)
 	case ExtRefNode:
 		src := env.external(t.Sheet)
 		if src == nil {
@@ -205,11 +220,7 @@ func evalNode(n Node, env *Env) operand {
 		if !t.IsRange {
 			return scalarOp(env.valueFrom(src, t.From.Shift(env.DR, env.DC).Addr))
 		}
-		return operand{
-			rng:     t.Shift(env.DR, env.DC),
-			isRange: true,
-			src:     src,
-		}
+		return rangeOp(t.Shift(env.DR, env.DC), src)
 	case CallNode:
 		return evalCall(t, env)
 	case BinaryNode:

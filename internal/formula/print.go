@@ -145,10 +145,14 @@ func (p *printer) node(b sink, n Node) {
 			p.adjustedRange(b, t)
 			return
 		}
-		p.ref(b, t.From)
-		b.writeByte(':')
-		p.ref(b, t.To)
+		p.span(b, t.From, t.To)
 	case ExtRefNode:
+		// An off-sheet cross-sheet reference prints as a bare #REF!: the
+		// parser reads no error after a sheet name.
+		if !p.onSheet(t.From) || t.IsRange && !p.onSheet(t.To) {
+			b.writeString(cell.ErrRef)
+			return
+		}
 		b.writeString(t.Sheet)
 		b.writeByte('!')
 		p.ref(b, t.From)
@@ -183,6 +187,22 @@ func (p *printer) node(b sink, n Node) {
 		p.node(b, t.X)
 		b.writeByte(')')
 	}
+}
+
+// onSheet reports whether the reference, read from the displaced host,
+// lands on the sheet.
+func (p *printer) onSheet(r cell.Ref) bool { return r.Shift(p.dr, p.dc).Addr.Valid() }
+
+// span prints a range read from the displaced host; a range with a corner
+// off the sheet prints as one #REF!, which is what it evaluates to.
+func (p *printer) span(b sink, from, to cell.Ref) {
+	if !p.onSheet(from) || !p.onSheet(to) {
+		b.writeString(cell.ErrRef)
+		return
+	}
+	p.ref(b, from)
+	b.writeByte(':')
+	p.ref(b, to)
 }
 
 // ref prints one reference read from the displaced host, in A1 or R1C1

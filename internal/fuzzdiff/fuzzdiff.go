@@ -24,12 +24,16 @@
 // static analyses on the baseline engine: type inference and the abstract
 // interpreter's value inference must admit every computed value, and the
 // parallel-safety certificate's stages must respect an independently
-// rebuilt dependency graph. A failing sequence shrinks
+// rebuilt dependency graph. A round-trip oracle covers what every profile
+// shares (evaluator, formula printer, structural edits), which the
+// lockstep cannot see: the baseline's workbook, saved and reopened on a
+// fresh excel engine, must hold the same values. A failing sequence shrinks
 // (minimize.go) to a minimal trace script replayable with
 // `sheetcli trace -script`.
 package fuzzdiff
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -38,6 +42,7 @@ import (
 	"repro/internal/cell"
 	"repro/internal/engine"
 	"repro/internal/graph"
+	"repro/internal/iolib"
 	"repro/internal/netsim"
 	"repro/internal/plan"
 	"repro/internal/regions"
@@ -57,8 +62,8 @@ type Config struct {
 	Seed     uint64 // generator seed (dataset and op sequence)
 	// Profiles to run in lockstep; nil means every registered profile.
 	Profiles []string
-	// Checks enables the per-op analysis cross-checks (absint soundness,
-	// certificate stage monotonicity) on the baseline engine.
+	// Checks enables the per-op cross-checks on the baseline engine
+	// (absint soundness, certificate stage monotonicity, save round trip).
 	Checks bool
 	// AfterOp, when set, runs after each op on each engine before states
 	// are compared — the fault-injection port the mutation tests use to
@@ -82,7 +87,7 @@ func (c Config) profiles() []string {
 type Failure struct {
 	OpIndex int // 0-based index of the op after which the divergence appeared; -1 = post-install
 	Op      tracelang.Op
-	Kind    string // "config", "install", "state", "error", "plan", "absint", "stagecert"
+	Kind    string // "config", "install", "state", "error", "plan", "absint", "stagecert", "roundtrip"
 	Detail  string
 	Ops     []tracelang.Op // the executed ops through OpIndex
 }
@@ -259,8 +264,12 @@ func planIncoherent(eng *engine.Engine) string {
 }
 
 // checkAnalyses runs the static-analysis soundness checks against the
-// active sheet of one (baseline) engine. Returns ("", "") when sound.
+// active sheet of one (baseline) engine, then the save round trip of its
+// workbook. Returns ("", "") when sound.
 func checkAnalyses(x *tracelang.Exec) (kind, detail string) {
+	if d := roundTrip(x.Eng.Workbook()); d != "" {
+		return "roundtrip", d
+	}
 	s := x.S
 
 	// The abstract interpreter promises an over-approximation of the
@@ -317,4 +326,33 @@ func checkAnalyses(x *tracelang.Exec) (kind, detail string) {
 		return "stagecert", bad
 	}
 	return "", ""
+}
+
+// roundTrip saves the workbook in SVF, reopens it on a fresh excel engine
+// and compares every cell value; "" when they all agree.
+func roundTrip(wb *sheet.Workbook) string {
+	var buf bytes.Buffer
+	if err := iolib.WriteWorkbook(&buf, wb); err != nil {
+		return "save: " + err.Error()
+	}
+	res, err := iolib.ReadWorkbook(&buf)
+	if err != nil {
+		return "reopen: " + err.Error()
+	}
+	if err := engine.New(engine.ExcelProfile()).Install(res.Workbook); err != nil {
+		return "install: " + err.Error()
+	}
+	reopened := res.Workbook.Sheets()
+	for si, a := range wb.Sheets() {
+		b := reopened[si]
+		for r := 0; r < a.Rows(); r++ {
+			for c := 0; c < a.Cols(); c++ {
+				at := cell.Addr{Row: r, Col: c}
+				if va, vb := a.Value(at), b.Value(at); va != vb {
+					return fmt.Sprintf("%s!%s: live %+v, reopened %+v", a.Name, at.A1(), va, vb)
+				}
+			}
+		}
+	}
+	return ""
 }
