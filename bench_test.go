@@ -779,9 +779,11 @@ func BenchmarkPlanRebuildAfterEdit(b *testing.B) {
 
 // BenchmarkRowEditPair times one row insert plus one row delete on
 // 2,000-row weather under the optimized profile, after a warm-up pair. Fill
-// groups survive the edits on one shared formula each, so the allocation
-// count is the tripwire for lost sharing: a pair that re-anchors every
-// formula to its own compiled copy allocates several times as much.
+// groups survive the edits on one shared formula each, and the formulas
+// that ride the edits are neither re-evaluated nor re-registered in a
+// per-cell graph, so the allocation count is the tripwire for lost sharing,
+// an eager graph rebuild or a full recomputation: each allocates several
+// times as much.
 func BenchmarkRowEditPair(b *testing.B) {
 	const rows = 2000
 	eng := engine.New(engine.OptimizedProfile())
@@ -804,6 +806,35 @@ func BenchmarkRowEditPair(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pair(i + 1)
+	}
+}
+
+// BenchmarkSortPair times one sort of 2,000-row weather by state (B) and
+// one back by id (A) under the optimized profile, after a warm-up pair. The
+// formulas are row-local, so the necessity analysis re-evaluates none of
+// them and the per-cell graph is never rebuilt: the allocation count is
+// the tripwire for a return to either.
+func BenchmarkSortPair(b *testing.B) {
+	const rows = 2000
+	eng := engine.New(engine.OptimizedProfile())
+	wb := workload.Weather(workload.Spec{Rows: rows, Formulas: true})
+	if err := eng.Install(wb); err != nil {
+		b.Fatal(err)
+	}
+	s := wb.First()
+	pair := func() {
+		if _, err := eng.Sort(s, workload.ColState, true, 1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := eng.Sort(s, workload.ColID, true, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	pair()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pair()
 	}
 }
 

@@ -56,6 +56,7 @@ func (e *Engine) RecalculateAsync(s *sheet.Sheet) (*AsyncRecalc, error) {
 	}
 	var local costmodel.Meter
 	order, cyclic := e.fullChain(s, &local)
+	g := e.graph(s, &local) // built here: the worker must not build it
 
 	// Partition: window formulae first, preserving topological order
 	// within each partition. A formula is "in window" when its host cell
@@ -99,7 +100,7 @@ func (e *Engine) RecalculateAsync(s *sheet.Sheet) (*AsyncRecalc, error) {
 			}
 			// Evaluate any not-yet-computed formula precedents first
 			// (cross-partition dependencies).
-			for _, r := range e.graph(s).Precedents(at) {
+			for _, r := range g.Precedents(at) {
 				if r.Cells() > 64 {
 					continue // large ranges: covered by topological rest order
 				}

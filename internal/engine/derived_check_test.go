@@ -20,7 +20,7 @@ import (
 // rebuilds each live artifact of the sheet's derived state from scratch
 // and compares the two through their public queries. An artifact is live
 // when the engine would consult it as it stands: formula-set artifacts at
-// the current graph version, the value certificate while its cell-change
+// the current formula-set version, the value certificate while its cell-change
 // key also holds, clean prefix sums, sortedness facts at their column's
 // version. It reads the engine's state without changing it and returns the
 // first incoherence.
@@ -44,10 +44,17 @@ func checkSheetDerived(e *Engine, s *sheet.Sheet, ss *sheetState) error {
 		fresh.SetFormula(a, fc.Code.PrecedentRanges(dr, dc))
 		return true
 	})
-	if err := checkGraph(s, ss.g, fresh); err != nil {
+	// A released graph is checked as graph() would rebuild it, without
+	// keeping the build: the oracle leaves the engine's state as it is.
+	live := ss.g
+	if live == nil {
+		var scratch costmodel.Meter
+		live = e.buildGraph(s, &scratch)
+	}
+	if err := checkGraph(s, live, fresh); err != nil {
 		return err
 	}
-	if ss.ver == ss.g.Version() {
+	if ss.ver == ss.version {
 		if err := checkFormulaSet(e, s, ss, fresh); err != nil {
 			return err
 		}

@@ -35,20 +35,27 @@ func derivedFixture(t *testing.T, profile string, rows int) (*Engine, *sheet.She
 	return e, s
 }
 
-// TestFindReplaceOverFormulaText: a find-replace that rewrites a formula's
-// text result leaves a literal in the cell, so the formula must leave the
-// dependency graph too (with the region chain split around it) rather than
-// linger as a phantom the formula-set artifacts are derived from.
+// TestFindReplaceOverFormulaText: a find-replace whose search string
+// matches formula text results leaves those formulas in place (only the
+// literal precedents are replaced), so the graph and the formula-set
+// artifacts keep every formula and the echoes show the replaced text.
 func TestFindReplaceOverFormulaText(t *testing.T) {
 	for _, profile := range []string{"excel", "optimized"} {
 		e, s := derivedFixture(t, profile, 12)
+		formulas := s.FormulaCount()
 		if _, _, err := e.FindReplace(s, "alpha", "omega"); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.Recalculate(s); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := e.graph(s).FormulaCount(), s.FormulaCount(); got != want {
+		if got := s.FormulaCount(); got != formulas {
+			t.Errorf("%s: %d formulas after find-replace, want %d", profile, got, formulas)
+		}
+		if got := s.Value(cell.Addr{Row: 1, Col: 2}); got != cell.Str("omega") {
+			t.Errorf("%s: echo = %+v, want omega", profile, got)
+		}
+		if got, want := e.graph(s, &e.meter).FormulaCount(), s.FormulaCount(); got != want {
 			t.Errorf("%s: graph holds %d formulas after find-replace, sheet %d", profile, got, want)
 		}
 		if err := checkDerived(e); err != nil {

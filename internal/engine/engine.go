@@ -96,12 +96,16 @@ func (e *Engine) Meter() *costmodel.Meter { return &e.meter }
 // "Derived-state lifecycle" table in docs/ANALYSIS.md lists each artifact's
 // validity key, the events that invalidate it, and its builder.
 type sheetState struct {
+	// g is the per-cell dependency graph, nil once a row move released it
+	// under RegionGraph (graph() rebuilds it on demand).
 	g *graph.Graph
+	// version counts formula inserts, pastes, removals and row moves.
+	version int64
 	// opt is the optimization state of §6; nil on profiles without
 	// optimizations, and on a loaded sheet until buildOptState runs.
 	opt *optState
-	// ver is the graph version the formula-set artifacts below were
-	// derived at; current drops them once the graph moves past it.
+	// ver is the version the formula-set artifacts below were derived at;
+	// current drops them once version moves past it.
 	ver    int64
 	chain  *chainCache
 	region *regions.Graph
@@ -109,12 +113,12 @@ type sheetState struct {
 	vcert  *valueCertEntry
 }
 
-// current drops every formula-set artifact derived at an older graph
-// version — the one validity check for the calc chain, the region
-// inference, and the parallel and value certificates — and returns ss.
+// current drops every formula-set artifact derived at an older version —
+// the one validity check for the calc chain, the region inference, and the
+// parallel and value certificates — and returns ss.
 func (ss *sheetState) current() *sheetState {
-	if v := ss.g.Version(); v != ss.ver {
-		ss.ver = v
+	if ss.version != ss.ver {
+		ss.ver = ss.version
 		ss.chain, ss.region, ss.pcert, ss.vcert = nil, nil, nil, nil
 	}
 	return ss
@@ -135,8 +139,15 @@ func (e *Engine) state(s *sheet.Sheet) *sheetState {
 	return ss
 }
 
-// graph returns the sheet's dependency graph.
-func (e *Engine) graph(s *sheet.Sheet) *graph.Graph { return e.state(s).g }
+// graph returns the sheet's per-cell dependency graph, building it from
+// the sheet's formulas, charged to meter, when a row move released it.
+func (e *Engine) graph(s *sheet.Sheet, meter *costmodel.Meter) *graph.Graph {
+	ss := e.state(s)
+	if ss.g == nil {
+		ss.g = e.buildGraph(s, meter)
+	}
+	return ss.g
+}
 
 // resetDerived drops every derived structure — per-sheet state, the plan
 // and its cache — when a new workbook replaces the current one. The
@@ -161,7 +172,7 @@ func (e *Engine) Install(wb *sheet.Workbook) error {
 	e.wb = wb
 	e.resetDerived()
 	for _, s := range wb.Sheets() {
-		g := e.graph(s)
+		g := e.state(s).g
 		gsp := obs.Start("install.graph")
 		s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
 			dr, dc := fc.DeltaAt(a)
@@ -178,7 +189,7 @@ func (e *Engine) Install(wb *sheet.Workbook) error {
 		if e.prof.Opt.RegionGraph {
 			// Parallel-safety pre-flight: issue the certificate now so the
 			// first staged recalculation finds it installed; edits that bump
-			// the graph version invalidate it exactly like the region chain.
+			// the formula-set version invalidate it exactly like the region chain.
 			csp := obs.Start("install.parallel_cert")
 			e.parallelCertFor(s, &e.meter)
 			csp.End()
@@ -479,7 +490,7 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 			return order, nil
 		}
 	}
-	g := ss.g
+	g := e.graph(s, meter)
 	g.ResetOps()
 	order, cyclic = g.AllFormulas()
 	meter.Add(costmodel.DepOp, g.Ops())
@@ -586,27 +597,33 @@ func (e *Engine) calc(s *sheet.Sheet, order, cyclic []cell.Addr, meter *costmode
 // rowsMoved is the one entry point for row and column moves (sort,
 // structural inserts and deletes). Row-keyed optimization structures are
 // stale the moment cells move, so they are dropped before any
-// recalculation consults them, and every formula is re-registered from its
-// new position, which retires the formula-set artifacts with the old graph
-// version. A delete that removed the sheet's last formulas still clears
-// the graph.
+// recalculation consults them, and the formula-set version advances. The
+// naive profiles re-register every formula from its new position; under
+// RegionGraph the per-cell graph is released for graph() to rebuild if a
+// consumer asks. A delete that removed the last formulas still counts.
 func (e *Engine) rowsMoved(s *sheet.Sheet) {
-	if st := e.state(s).opt; st != nil {
-		st.rebuildAfterReorder()
+	ss := e.state(s)
+	if ss.opt != nil {
+		ss.opt.rebuildAfterReorder()
 	}
-	if s.FormulaCount() > 0 || e.graph(s).FormulaCount() > 0 {
-		e.rebuildGraph(s, &e.meter)
+	if s.FormulaCount() == 0 && ss.g != nil && ss.g.FormulaCount() == 0 {
+		return
+	}
+	ss.version++
+	ss.g = nil
+	if !e.prof.Opt.RegionGraph {
+		ss.g = e.buildGraph(s, &e.meter)
 	}
 }
 
-// rebuildGraph re-registers every formula's precedents from its current
-// position — the calc-chain re-sequencing that follows structural changes.
-func (e *Engine) rebuildGraph(s *sheet.Sheet, meter *costmodel.Meter) {
+// buildGraph registers every formula's precedents from its current
+// position in a fresh graph — the calc-chain re-sequencing that follows
+// structural changes.
+func (e *Engine) buildGraph(s *sheet.Sheet, meter *costmodel.Meter) *graph.Graph {
 	sp := obs.Start("engine.rebuild_graph")
 	defer sp.End()
-	g := e.graph(s)
-	g.Clear()
-	g.ResetOps()
+	e.met.graphBuilds.Add(1)
+	g := graph.New()
 	s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
 		dr, dc := fc.DeltaAt(a)
 		g.SetFormula(a, fc.Code.PrecedentRanges(dr, dc))
@@ -614,6 +631,7 @@ func (e *Engine) rebuildGraph(s *sheet.Sheet, meter *costmodel.Meter) {
 	})
 	meter.Add(costmodel.DepOp, g.Ops())
 	g.ResetOps()
+	return g
 }
 
 // resequence recomputes the calculation order without evaluating — the
@@ -625,10 +643,11 @@ func (e *Engine) resequence(s *sheet.Sheet, meter *costmodel.Meter) {
 	sp := obs.Start("engine.resequence")
 	defer sp.End()
 	ss := e.state(s).current()
-	ss.g.ResetOps()
-	order, cyclic := ss.g.AllFormulas()
-	meter.Add(costmodel.DepOp, ss.g.Ops())
-	ss.g.ResetOps()
+	g := e.graph(s, meter)
+	g.ResetOps()
+	order, cyclic := g.AllFormulas()
+	meter.Add(costmodel.DepOp, g.Ops())
+	g.ResetOps()
 	ss.chain = &chainCache{order: order, cyclic: cyclic}
 }
 

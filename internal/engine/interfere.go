@@ -31,7 +31,7 @@ func (e *Engine) parallelCertFor(s *sheet.Sheet, meter *costmodel.Meter) (*inter
 	rg := e.regionsFor(s, meter)
 	cert := interfere.Analyze(rg.Regions())
 	cert.ResetOps()
-	cert.Version = ss.g.Version()
+	cert.Version = ss.version
 	ss.pcert = cert
 	sp.Int("regions", int64(cert.Regions)).
 		Int("stages", int64(cert.StageCount())).

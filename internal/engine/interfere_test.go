@@ -251,9 +251,9 @@ func TestParallelCertFuzz(t *testing.T) {
 
 		cert, rg := opt.parallelCertFor(sO, &opt.meter)
 		sr := rg.Regions()
-		g := opt.graph(sO)
-		if cert.Version != g.Version() {
-			t.Fatalf("round %d: certificate version %d, graph version %d", round, cert.Version, g.Version())
+		g := opt.graph(sO, &opt.meter)
+		if v := opt.state(sO).version; cert.Version != v {
+			t.Fatalf("round %d: certificate version %d, formula-set version %d", round, cert.Version, v)
 		}
 		if !cert.OK {
 			t.Fatalf("round %d: certificate lost: %+v", round, cert.Blockers)

@@ -27,6 +27,9 @@ type engineMetrics struct {
 	// re-inference passes of the region chain.
 	regionsSplit  *obs.Counter
 	regionReinfer *obs.Counter
+	// graphBuilds counts per-cell dependency graph builds (Open, and after
+	// row moves: eager on the naive profiles, on demand under RegionGraph).
+	graphBuilds *obs.Counter
 	// chainCacheHits counts full-recalc sequencing requests served by the
 	// memoized calculation chain.
 	chainCacheHits *obs.Counter
@@ -57,6 +60,7 @@ func newEngineMetrics(label string) engineMetrics {
 		fastEvalHits:   obs.Default.Counter("engine_fast_eval_hits", label),
 		regionsSplit:   obs.Default.Counter("engine_regions_split", label),
 		regionReinfer:  obs.Default.Counter("engine_region_reinfer", label),
+		graphBuilds:    obs.Default.Counter("engine_graph_builds", label),
 		chainCacheHits: obs.Default.Counter("engine_chain_cache_hits", label),
 		planBuilds:     obs.Default.Counter("engine_plan_builds", label),
 		planDrift:      obs.Default.Histogram("engine_plan_drift", label, obs.DriftRatioBounds),

@@ -59,7 +59,7 @@ func (e *Engine) Open(path string) (Result, error) {
 			if first != nil && first.Rows() > 0 {
 				rows = int64(first.Rows())
 			}
-			e.meter.Add(costmodel.ParseByte, res.Bytes*minI64(window, rows)/maxI64(rows, 1))
+			e.meter.Add(costmodel.ParseByte, res.Bytes*min(window, rows)/max(rows, 1))
 		}
 		e.meter.Add(costmodel.RenderCell, winCells)
 		err := e.netCall(winCells * bytesPerCell)
@@ -76,7 +76,7 @@ func (e *Engine) Open(path string) (Result, error) {
 		e.meter.Add(costmodel.FormulaCompile, res.Formulas)
 		bsp := obs.Start("open.build").Int("formulas", res.Formulas)
 		for _, s := range e.wb.Sheets() {
-			e.rebuildGraph(s, &e.meter)
+			e.state(s).g = e.buildGraph(s, &e.meter)
 			if e.prof.Recalc.OnOpen {
 				e.evalAll(s, &e.meter)
 			}
@@ -105,20 +105,6 @@ func (e *Engine) Open(path string) (Result, error) {
 	}
 	e.refreshExternals(&e.meter)
 	return t.finish(), nil
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Sort reorders the sheet's rows by the given column (§4.2.1). Rows
@@ -187,7 +173,15 @@ func (e *Engine) Sort(s *sheet.Sheet, col int, ascending bool, headerRows int) (
 		rsp := obs.Start("sort.recalc")
 		e.rowsMoved(s)
 		if e.prof.Opt.SortRecalcAnalysis {
-			e.evalNonRowLocal(s, &e.meter)
+			// A row-local formula moved with every input it reads.
+			need := make(map[cell.Addr]bool)
+			s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
+				if !fc.Code.RowLocal(fc.Origin) {
+					need[a] = true
+				}
+				return true
+			})
+			e.evalNecessary(s, need, &e.meter)
 		} else {
 			e.evalAll(s, &e.meter)
 		}
@@ -197,32 +191,27 @@ func (e *Engine) Sort(s *sheet.Sheet, col int, ascending bool, headerRows int) (
 	return t.finish(), nil
 }
 
-// evalNonRowLocal re-evaluates only formulae whose value can change under a
-// row reordering — the recalculation-necessity analysis of §6.
-func (e *Engine) evalNonRowLocal(s *sheet.Sheet, meter *costmodel.Meter) {
-	recalc := make(map[cell.Addr]bool)
-	s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
-		meter.Add(costmodel.DepOp, 1) // the per-formula locality test
-		if !fc.Code.RowLocal(fc.Origin) {
-			recalc[a] = true
-		}
-		return true
-	})
-	if len(recalc) == 0 {
+// evalNecessary is the recalculation-necessity analysis of §6 after a row
+// move (a sort or a structural edit): only the formulas in need are
+// re-evaluated, in calc-chain order (one can read another); every other
+// formula moved with the inputs it reads. The changed values then
+// propagate, since their dependents are stale however local they are. A
+// move can change which cells sit on a reference cycle, so a sheet whose
+// chain has cyclic cells is recomputed in full.
+func (e *Engine) evalNecessary(s *sheet.Sheet, need map[cell.Addr]bool, meter *costmodel.Meter) {
+	meter.Add(costmodel.DepOp, int64(s.FormulaCount())) // the per-formula necessity test
+	if len(need) == 0 {
 		return
 	}
-	// A non-row-local formula can read another one (an aggregate over a
-	// column holding moved formulas), so the survivors of the necessity
-	// analysis must evaluate in dependency order, not discovery order.
-	// Cells on a reference cycle display #CYCLE!, as under evalAll.
+	sp := obs.Start("engine.recalc_dirty").Str("source", "necessity").Int("seeds", int64(len(need)))
+	defer sp.End()
 	order, cyclic := e.fullChain(s, meter)
+	if len(cyclic) > 0 {
+		e.calc(s, order, cyclic, meter, false, nil)
+		return
+	}
 	var changed []cell.Addr
-	e.calc(s, pick(order, recalc), pick(cyclic, recalc), meter, false, &changed)
-	// The necessity analysis exempts row-local formulae because their
-	// same-row inputs move with them — but when a re-evaluated survivor
-	// (say a cross-sheet lookup) lands on a NEW value, its dependents'
-	// caches are stale no matter how local they are. Propagate exactly
-	// those changes.
+	e.calc(s, pick(order, need), nil, meter, false, &changed)
 	if len(changed) > 0 {
 		e.recalcDirty(s, changed, meter, false)
 	}
@@ -428,9 +417,12 @@ func (e *Engine) PivotTable(s *sheet.Sheet, dimCol, measureCol, headerRows int) 
 
 // FindReplace scans the used range for text cells containing the search
 // string and replaces every occurrence (§5.1.2); it returns the number of
-// cells changed. Dependent formulae recompute. With the optimized inverted
-// index, a single-token search probes the index instead of scanning — and a
-// nonexistent value is rejected in near-constant time.
+// cells changed. Formula cells are left alone in every profile, even when
+// their displayed result matches: the replace edits literal text, and a
+// formula keeps its text and recomputes from its precedents. Dependent
+// formulae recompute. With the optimized inverted index, a single-token
+// search probes the index instead of scanning — and a nonexistent value is
+// rejected in near-constant time.
 func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result, error) {
 	if s == nil {
 		return 0, Result{}, errSheet("FindReplace")
@@ -442,7 +434,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 
 	var changed []cell.Addr
 	st := e.state(s).opt
-	indexed := st != nil && e.prof.Opt.InvertedIndex && len(indexTokens(find)) == 1
+	indexed := st != nil && e.prof.Opt.InvertedIndex && len(indexTokenize(find)) == 1
 	scanName := "find.scan"
 	if indexed {
 		scanName = "find.index_probe"
@@ -458,11 +450,10 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 		for _, a := range append([]cell.Addr(nil), hits...) {
 			v := s.Value(a)
 			e.meter.Add(costmodel.CellTouch, 1)
-			if v.Kind != cell.Text || !strings.Contains(v.Str, find) {
+			if _, isFormula := s.Formula(a); isFormula || v.Kind != cell.Text || !strings.Contains(v.Str, find) {
 				continue
 			}
 			nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
-			e.removeFormula(s, a)
 			st.noteCellChange(e, a, v, nv)
 			s.SetValue(a, nv)
 			e.meter.Add(costmodel.CellWrite, 1)
@@ -479,8 +470,10 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 				if v.Kind != cell.Text || !strings.Contains(v.Str, find) {
 					continue
 				}
+				if _, isFormula := s.Formula(a); isFormula {
+					continue
+				}
 				nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
-				e.removeFormula(s, a)
 				if st != nil {
 					st.noteCellChange(e, a, v, nv)
 				}
@@ -505,11 +498,6 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 	return len(changed), t.finish(), nil
 }
 
-// indexTokens mirrors the inverted index's tokenizer for query eligibility.
-func indexTokens(q string) []string {
-	return indexTokenize(q)
-}
-
 // CopyPaste copies the source range to the destination (top-left anchor),
 // duplicating values and formulae; relative references shift by the
 // displacement, as in all three systems. Pasted formulae are registered and
@@ -525,7 +513,7 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 		return src, t.finish(), nil
 	}
 	ss := e.state(s)
-	g, st := ss.g, ss.opt
+	g, st := ss.g, ss.opt // g is nil while a row move left it stale
 	csp := obs.Start("paste.copy").Int("cells", int64(src.Cells()))
 	var pasted, changed []cell.Addr
 	for r := src.Start.Row; r <= src.End.Row; r++ {
@@ -543,8 +531,11 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 					delete(st.typed, to.Col)
 					delete(st.aggs, to)
 				}
-				fdr, fdc := fc.DeltaAt(to)
-				g.SetFormula(to, fc.Code.PrecedentRanges(fdr, fdc))
+				ss.version++
+				if g != nil {
+					fdr, fdc := fc.DeltaAt(to)
+					g.SetFormula(to, fc.Code.PrecedentRanges(fdr, fdc))
+				}
 				pasted = append(pasted, to)
 				continue
 			}
@@ -564,8 +555,10 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 			}
 		}
 	}
-	e.meter.Add(costmodel.DepOp, g.Ops())
-	g.ResetOps()
+	if g != nil {
+		e.meter.Add(costmodel.DepOp, g.Ops())
+		g.ResetOps()
+	}
 	csp.End()
 
 	esp := obs.Start("paste.eval").Int("formulas", int64(len(pasted)))
@@ -589,7 +582,8 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 // used by the BCT aggregate/lookup experiments (§4.3.3–4) and all of the
 // OOT formula experiments (§5). The optimized profile first consults the
 // redundant-computation cache (§5.4) and the shared prefix-sum / index fast
-// paths (§5.3, §5.1).
+// paths (§5.3, §5.1). Formulas that read the cell are then brought up to
+// date, as after SetCell.
 func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.Value, Result, error) {
 	if s == nil {
 		return cell.Value{}, Result{}, errSheet("InsertFormula")
@@ -628,15 +622,19 @@ func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.V
 // insert is the one body of formula insertion: it attaches the compiled
 // formula at a, registers its precedents, computes its value (an
 // optimization fast path, else a drift-armed evaluation under env; nil
-// means the read-through env) and stores it. fast reports a fast-path
-// answer.
+// means the read-through env), stores it, and settles the formulas that
+// read a when the value changed. fast reports a fast-path answer.
 func (e *Engine) insert(s *sheet.Sheet, a cell.Addr, c *formula.Compiled, env *formula.Env) (v cell.Value, fast bool) {
 	ss := e.state(s)
 	s.SetFormula(a, c)
-	ss.g.ResetOps()
-	ss.g.SetFormula(a, c.PrecedentRanges(0, 0))
-	e.meter.Add(costmodel.DepOp, ss.g.Ops())
-	ss.g.ResetOps()
+	ss.version++
+	g := ss.g // nil while a row move left it stale
+	if g != nil {
+		g.ResetOps()
+		g.SetFormula(a, c.PrecedentRanges(0, 0))
+		e.meter.Add(costmodel.DepOp, g.Ops())
+		g.ResetOps()
+	}
 	st := ss.opt
 	if st != nil {
 		v, fast = st.fastEval(e, s, c)
@@ -651,9 +649,13 @@ func (e *Engine) insert(s *sheet.Sheet, a cell.Addr, c *formula.Compiled, env *f
 		v = formula.Eval(c, env)
 		e.driftClose()
 	}
-	e.setCached(s, a, v)
+	changed := e.setCached(s, a, v)
 	if st != nil {
 		st.noteFormulaResult(e, s, a, c, v)
+	}
+	// A stale graph cannot rule readers out; the dirty walk finds them.
+	if changed && (g == nil || g.Read(a)) {
+		e.recalcDirty(s, []cell.Addr{a}, &e.meter, false)
 	}
 	return v, fast
 }
@@ -670,8 +672,9 @@ type BatchItem struct {
 // InsertFormula, the batch pays one network round trip total (web) plus one
 // API dispatch per cell, and the evaluations run as a native calc pass —
 // the §5.3 shared-computation experiment fills its cumulative-sum columns
-// this way. Formulae evaluate in item order; the optimized profile's
-// fast paths (prefix sums, fingerprint cache, indexes) apply per item.
+// this way. Formulae evaluate in item order, each settling the formulas
+// already reading its cell; the optimized profile's fast paths (prefix
+// sums, fingerprint cache, indexes) apply per item.
 func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, error) {
 	if s == nil {
 		return Result{}, errSheet("InsertFormulaBatch")

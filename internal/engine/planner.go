@@ -16,8 +16,8 @@ import (
 //
 // A rebuild re-derives only what the triggering change invalidated: the
 // engine's plan.Cache persists across rebuilds and keys column statistics
-// and value-column certificates by (column version, graph version), the
-// site inventory and region facts by graph version. The rebuilt plan
+// and value-column certificates by (column version, formula-set version),
+// the site inventory and region facts by formula-set version. The rebuilt plan
 // equals a cold plan.Build.
 
 // planEntry is one derived plan plus the versions it was built under.
@@ -38,7 +38,7 @@ type planEntry struct {
 	validatedAt int64
 }
 
-// sheetVersion is one sheet with its formula-set (graph) version and
+// sheetVersion is one sheet with its formula-set version and
 // dimensions, which the plan's statistics summary records.
 type sheetVersion struct {
 	s          *sheet.Sheet
@@ -47,7 +47,7 @@ type sheetVersion struct {
 }
 
 func (e *Engine) sheetVersion(s *sheet.Sheet) sheetVersion {
-	return sheetVersion{s: s, ver: e.graph(s).Version(), rows: s.Rows(), cols: s.Cols()}
+	return sheetVersion{s: s, ver: e.state(s).version, rows: s.Rows(), cols: s.Cols()}
 }
 
 // colVersion is the statistics invalidation key for one column: the
@@ -68,11 +68,10 @@ func (e *Engine) colVersion(name string, col int) int64 {
 	return st.sortedEpoch<<32 | (st.colVer[col] & 0xffffffff)
 }
 
-// formulaVersion is the formula-set version of the named sheet: its
-// dependency graph's version, which every formula insert, removal, move
-// and rebuild bumps.
+// formulaVersion is the formula-set version of the named sheet
+// (sheetState.version).
 func (e *Engine) formulaVersion(name string) int64 {
-	return e.graph(e.wb.Sheet(name)).Version()
+	return e.state(e.wb.Sheet(name)).version
 }
 
 // currentPlan returns a plan entry to consult, validating the cached one

@@ -48,7 +48,10 @@ func (e *Engine) regionsFor(s *sheet.Sheet, meter *costmodel.Meter) *regions.Gra
 func (e *Engine) removeFormula(s *sheet.Sheet, a cell.Addr) {
 	if _, ok := s.Formula(a); ok {
 		ss := e.state(s)
-		ss.g.RemoveFormula(a)
+		ss.version++
+		if ss.g != nil {
+			ss.g.RemoveFormula(a)
+		}
 		if ss.opt != nil {
 			delete(ss.opt.aggs, a)
 		}
@@ -66,7 +69,7 @@ func (e *Engine) noteFormulaRemoved(s *sheet.Sheet, a cell.Addr, meter *costmode
 		return
 	}
 	ss := e.state(s)
-	if ss.region == nil || ss.ver != ss.g.Version()-1 {
+	if ss.region == nil || ss.ver != ss.version-1 {
 		return
 	}
 	sp := obs.Start("regions.split")
@@ -106,7 +109,7 @@ func (e *Engine) dirtyOrder(s *sheet.Sheet, changed []cell.Addr, meter *costmode
 			return order, nil
 		}
 	}
-	g := e.graph(s)
+	g := e.graph(s, meter)
 	g.ResetOps()
 	order, cyclic = g.Dirty(changed)
 	meter.Add(costmodel.DepOp, g.Ops())
@@ -123,5 +126,5 @@ func (e *Engine) RegionChainInfo(s *sheet.Sheet) (regionCount, formulaCount int,
 		return 0, 0, false
 	}
 	sr := ss.region.Regions()
-	return len(sr.Regions), sr.Formulas, ss.ver == ss.g.Version() && ss.region.OK()
+	return len(sr.Regions), sr.Formulas, ss.ver == ss.version && ss.region.OK()
 }

@@ -14,9 +14,9 @@ import (
 // problematic if it explicitly uses or encodes the row or column number,
 // because a single change (adding a row) can lead to an update of the
 // entire index"): every reference at or below the edit point must be
-// rewritten, the calculation chain re-sequenced, every row-keyed index
-// rebuilt, and — per the systems' recalculation policies — formulae
-// recomputed.
+// rewritten, the calculation chain re-sequenced and every row-keyed index
+// rebuilt. Only the naive profiles recompute every formula; under
+// SortRecalcAnalysis §6's sort necessity analysis (evalNecessary) applies.
 
 // InsertRows opens n blank rows before display row `at` (0-based sheet
 // row), adjusting every formula reference on the sheet.
@@ -60,7 +60,14 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	// gets its own adjusted text, compiled once per distinct text and
 	// anchored at its post-edit address. Hosts the edit deletes need
 	// nothing. The profiles still charge a compile and a write per formula.
+	//
+	// The same pass runs the necessity test: a riding formula reads the
+	// same cells unless a range of it changes size.
 	edit := formula.Edit{Boundary: at, Delta: delta, Rows: rowAxis}
+	var need map[cell.Addr]bool
+	if e.prof.Opt.SortRecalcAnalysis {
+		need = make(map[cell.Addr]bool)
+	}
 	type rewrite struct {
 		at cell.Addr
 		fc sheet.Formula
@@ -71,8 +78,15 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	formulas := int64(s.FormulaCount())
 	s.EachFormula(func(a cell.Addr, fc sheet.Formula) bool {
 		post, dead := edit.MoveAddr(a)
+		if dead {
+			return true
+		}
 		dr, dc := fc.DeltaAt(a)
-		if dead || edit.Rides(fc.Code, dr, dc, a) {
+		rides := edit.Rides(fc.Code, dr, dc, a)
+		if need != nil && (!rides || edit.Resizes(fc.Code, dr, dc) || fc.Code.Volatile || fc.Code.External) {
+			need[post] = true
+		}
+		if rides {
 			return true
 		}
 		text := edit.Adjust(fc.Code, dr, dc)
@@ -118,10 +132,11 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	}
 	e.meter.Add(costmodel.CellWrite, int64(n)*span)
 
-	// Phase 3: re-sequence and recompute (all three systems treat
-	// structural edits as full invalidations).
+	// Phase 3: re-sequence and recompute.
 	e.rowsMoved(s)
-	if s.FormulaCount() > 0 {
+	if need != nil {
+		e.evalNecessary(s, need, &e.meter)
+	} else if s.FormulaCount() > 0 {
 		e.evalAll(s, &e.meter)
 	}
 	e.refreshExternals(&e.meter)

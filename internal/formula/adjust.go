@@ -114,6 +114,22 @@ func (e Edit) Rides(c *Compiled, dr, dc int, host cell.Addr) bool {
 	return clean
 }
 
+// Resizes reports whether the edit moves the two corners of one of the
+// formula's local ranges by different amounts, so that the range gains or
+// loses cells even where the formula rides: =SUM(D$2:D8) hosted below a
+// deleted row keeps its text but reads one row fewer.
+func (e Edit) Resizes(c *Compiled, dr, dc int) bool {
+	resized := false
+	walk(c.Root, func(n Node) {
+		if t, ok := n.(RangeNode); ok {
+			_, from, _ := e.move(t.From, dr, dc)
+			_, to, _ := e.move(t.To, dr, dc)
+			resized = resized || from != to
+		}
+	})
+	return resized
+}
+
 // absolute reports whether the reference is anchored ($) on the edit's
 // axis.
 func (e Edit) absolute(r cell.Ref) bool {

@@ -37,6 +37,32 @@ type Compiled struct {
 	// the formulae compute identical values on the same sheet.
 	Fingerprint uint64
 	canonical   string
+	// crits holds the text-literal criteria of the formula's conditional
+	// aggregates, compiled once here instead of on every evaluation. It is
+	// read-only after Compile, so concurrent evaluations share it.
+	crits []textCrit
+}
+
+// textCrit is one precompiled text-literal criterion.
+type textCrit struct {
+	text string
+	crit Criterion
+}
+
+// criterionArg reports whether argument i of the named call is a
+// criterion: the second argument of COUNTIF/SUMIF/AVERAGEIF, every second
+// argument of COUNTIFS, and every second argument after the first of the
+// other *IFS functions.
+func criterionArg(name string, i int) bool {
+	switch name {
+	case "COUNTIF", "SUMIF", "AVERAGEIF":
+		return i == 1
+	case "COUNTIFS":
+		return i%2 == 1
+	case "SUMIFS", "AVERAGEIFS", "MAXIFS", "MINIFS":
+		return i > 0 && i%2 == 0
+	}
+	return false
 }
 
 // volatileFuncs are functions whose value can change without any precedent
@@ -83,6 +109,11 @@ func Compile(text string) (*Compiled, error) {
 		case CallNode:
 			if volatileFuncs[t.Name] {
 				c.Volatile = true
+			}
+			for i, arg := range t.Args {
+				if lit, ok := arg.(StringLit); ok && criterionArg(t.Name, i) {
+					c.crits = append(c.crits, textCrit{text: string(lit), crit: compileTextCriterion(string(lit))})
+				}
 			}
 		}
 	})

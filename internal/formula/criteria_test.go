@@ -163,3 +163,43 @@ func TestCriterionMatchesCountifSemantics(t *testing.T) {
 		}
 	}
 }
+
+// colSource serves column A from a slice without allocating.
+type colSource []cell.Value
+
+func (c colSource) Value(a cell.Addr) cell.Value {
+	if a.Col == 0 && a.Row < len(c) {
+		return c[a.Row]
+	}
+	return cell.Value{}
+}
+
+// TestLiteralCriteriaCompiledOnce: a text-literal criterion is compiled by
+// Compile, and evaluations served from it give the values a per-call
+// compile gives while allocating less.
+func TestLiteralCriteriaCompiledOnce(t *testing.T) {
+	src := colSource{cell.Str("storm"), cell.Num(3), cell.Str("rain"), cell.Str("STORM")}
+	for _, text := range []string{
+		`=COUNTIF(A1:A4,"STORM")`,
+		`=SUMIF(A1:A4,"<>rain",A1:A4)`,
+		`=AVERAGEIF(A1:A4,"<>RAIN")`,
+		`=COUNTIFS(A1:A4,"st*",A1:A4,"<>x")`,
+		`=SUMIFS(A1:A4,A1:A4,"<>STORM")`,
+	} {
+		c := MustCompile(text)
+		if len(c.crits) == 0 {
+			t.Fatalf("%s: no criterion compiled ahead", text)
+		}
+		uncached := *c
+		uncached.crits = nil
+		env := &Env{Src: src}
+		if got, want := Eval(c, env), Eval(&uncached, env); got != want {
+			t.Errorf("%s = %v, per-call compile gives %v", text, got, want)
+		}
+		cached := testing.AllocsPerRun(50, func() { Eval(c, env) })
+		perCall := testing.AllocsPerRun(50, func() { Eval(&uncached, env) })
+		if cached >= perCall {
+			t.Errorf("%s: %.0f allocs per evaluation, %.0f with a per-call compile", text, cached, perCall)
+		}
+	}
+}

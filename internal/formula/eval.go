@@ -51,6 +51,22 @@ type Env struct {
 	// to binary search with identical results, and approximate matches
 	// may binary-search even without ApproxBinarySearch.
 	SortedAsc func(src Source, col, r0, r1 int) bool
+	// crits are the precompiled criteria of the formula being evaluated
+	// (Compiled.crits), set by Eval.
+	crits []textCrit
+}
+
+// criterion compiles a criterion argument value, serving a text literal
+// the evaluated formula compiled ahead of time.
+func (e *Env) criterion(v cell.Value) Criterion {
+	if v.Kind == cell.Text {
+		for i := range e.crits {
+			if e.crits[i].text == v.Str {
+				return e.crits[i].crit
+			}
+		}
+	}
+	return CompileCriterion(v)
 }
 
 // certifiedAsc reports whether the column run is certified ascending
@@ -190,6 +206,7 @@ func Eval(c *Compiled, env *Env) cell.Value {
 		defer evalTime.ObserveSince(time.Now())
 	}
 	env.add(costmodel.FormulaEval, 1)
+	env.crits = c.crits
 	return evalNode(c.Root, env).scalar(env)
 }
 

@@ -195,7 +195,7 @@ func fnProduct(env *Env, args []operand) cell.Value {
 }
 
 func fnCountIf(env *Env, args []operand) cell.Value {
-	crit := CompileCriterion(args[1].scalar(env))
+	crit := env.criterion(args[1].scalar(env))
 	var n int
 	args[0].eachCell(env, func(v cell.Value) bool {
 		env.add(costmodel.Compare, 1)
@@ -217,7 +217,7 @@ func sumIfRanges(env *Env, args []operand) (test, sum operand, crit Criterion, e
 		return test, sum, crit, cell.Errorf(cell.ErrValue)
 	}
 	test = args[0]
-	crit = CompileCriterion(args[1].scalar(env))
+	crit = env.criterion(args[1].scalar(env))
 	sum = test
 	if len(args) == 3 {
 		if !args[2].isRange {

@@ -44,7 +44,7 @@ func parseCritPairs(env *Env, args []operand, shape cell.Range) ([]critPair, cel
 		}
 		pairs = append(pairs, critPair{
 			rng:  r,
-			crit: CompileCriterion(args[i+1].scalar(env)),
+			crit: env.criterion(args[i+1].scalar(env)),
 			src:  args[i].src,
 		})
 	}

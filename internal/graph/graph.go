@@ -44,10 +44,6 @@ type Graph struct {
 	// ops counts graph maintenance operations since construction; the
 	// engine charges these to the DepOp metric.
 	ops int64
-	// version increments whenever the formula set changes; the engine
-	// uses it to cache calc-chain orders ([6]: real engines reuse the
-	// calculation sequence until the sheet's structure changes).
-	version int64
 }
 
 // New returns an empty graph.
@@ -61,10 +57,6 @@ func New() *Graph {
 // Ops returns the number of maintenance operations performed since the last
 // ResetOps; the engine transfers this onto its meter.
 func (g *Graph) Ops() int64 { return g.ops }
-
-// Version identifies the current formula-set generation; it changes on
-// every SetFormula, RemoveFormula, and Clear.
-func (g *Graph) Version() int64 { return g.version }
 
 // ResetOps zeroes the maintenance-operation counter.
 func (g *Graph) ResetOps() { g.ops = 0 }
@@ -107,7 +99,6 @@ func (g *Graph) SetFormula(at cell.Addr, ranges []cell.Range) {
 	copy(stored, ranges)
 	g.precedents[at] = stored
 	g.ops++
-	g.version++
 	for _, r := range stored {
 		if r.Cells() <= smallRangeMax {
 			for row := r.Start.Row; row <= r.End.Row; row++ {
@@ -132,7 +123,6 @@ func (g *Graph) RemoveFormula(at cell.Addr) {
 	}
 	delete(g.precedents, at)
 	g.ops++
-	g.version++
 	for _, r := range ranges {
 		if r.Cells() <= smallRangeMax {
 			for row := r.Start.Row; row <= r.End.Row; row++ {
@@ -168,6 +158,20 @@ func removeAddr(s []cell.Addr, a cell.Addr) []cell.Addr {
 
 // Precedents returns the registered precedent ranges of a formula cell.
 func (g *Graph) Precedents(at cell.Addr) []cell.Range { return g.precedents[at] }
+
+// Read reports whether any registered formula reads the given cell. Like
+// TransitiveDependents it charges no maintenance ops.
+func (g *Graph) Read(a cell.Addr) bool {
+	if len(g.byCell[a]) > 0 {
+		return true
+	}
+	for _, rd := range g.large {
+		if rd.rng.Contains(a) {
+			return true
+		}
+	}
+	return false
+}
 
 // DirectDependents returns the formula cells that directly read the given
 // cell. The result is freshly allocated.
@@ -420,15 +424,6 @@ func (g *Graph) AllFormulas() (order []cell.Addr, cyclic []cell.Addr) {
 		g.sortAddrs(cyclic)
 	}
 	return order, cyclic
-}
-
-// Clear removes every registered formula.
-func (g *Graph) Clear() {
-	g.byCell = make(map[cell.Addr][]cell.Addr)
-	g.large = g.large[:0]
-	g.precedents = make(map[cell.Addr][]cell.Range)
-	g.ops++
-	g.version++
 }
 
 // sortAddrs orders addresses row-major, charging n·⌈log2 n⌉ maintenance ops

@@ -190,12 +190,19 @@ func TestOpsCounter(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
+func TestRead(t *testing.T) {
 	g := New()
-	g.SetFormula(a("B1"), []cell.Range{r("A1")})
-	g.Clear()
-	if g.FormulaCount() != 0 || len(g.DirectDependents(a("A1"))) != 0 {
-		t.Error("Clear did not empty the graph")
+	g.SetFormula(a("B1"), []cell.Range{r("A1"), r("C1:C100")})
+	for _, c := range []struct {
+		at   string
+		want bool
+	}{{"A1", true}, {"C50", true}, {"B1", false}, {"C101", false}} {
+		if got := g.Read(a(c.at)); got != c.want {
+			t.Errorf("Read(%s) = %t, want %t", c.at, got, c.want)
+		}
+	}
+	if g.ResetOps(); g.Read(a("A1")) && g.Ops() != 0 {
+		t.Errorf("Read charged %d ops", g.Ops())
 	}
 }
 

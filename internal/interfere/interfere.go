@@ -45,9 +45,9 @@ type Blocker struct {
 
 // Cert is a parallel-safety certificate for one sheet's region set.
 type Cert struct {
-	// Version is the per-cell graph version the certificate was issued
-	// against; the engine refuses to consult a certificate whose version
-	// does not match the live graph.
+	// Version is the sheet's formula-set version the certificate was
+	// issued against; the engine refuses to consult a certificate whose
+	// version does not match the live one.
 	Version int64
 	// Regions and Formulas mirror the underlying inference's counts.
 	Regions  int

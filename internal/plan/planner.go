@@ -23,7 +23,7 @@ type Options struct {
 	// means version 0 everywhere (immutable one-shot analysis).
 	ColVersion func(sheetName string, col int) int64
 	// FormulaVersion supplies a sheet's formula-set version (the engine's
-	// dependency-graph version). While it holds, the Cache serves the
+	// per-sheet formula-set counter). While it holds, the Cache serves the
 	// sheet's site inventory and recalc facts instead of re-deriving them.
 	// Nil disables that reuse (one-shot analysis).
 	FormulaVersion func(sheetName string) int64
