@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -180,7 +181,7 @@ func (e *Engine) Install(wb *sheet.Workbook) error {
 			return true
 		})
 		gsp.Int("formulas", int64(g.FormulaCount())).End()
-		e.evalAll(s, &e.meter)
+		e.evalAll(s, &e.meter, 1, false, nil)
 		if e.prof.Opt.Any() {
 			osp := obs.Start("install.opt_state")
 			e.buildOptState(s)
@@ -293,16 +294,17 @@ func (e *Engine) netCall(payloadBytes int64) error {
 // read-through behavior of §4.3.3: Calc and Sheets re-evaluate a formula
 // cell whenever it is referenced; Excel pays a cheap staleness check.
 type evalSource struct {
-	e      *Engine
-	s      *sheet.Sheet
-	meter  *costmodel.Meter
-	inner  bool // already inside a read-through re-evaluation (depth cap 1)
-	recalc bool // inside a calc pass: cached values are fresh by ordering
+	e     *Engine
+	s     *sheet.Sheet
+	meter *costmodel.Meter
+	// cached turns read-through off: in a calc pass values are fresh by
+	// ordering; in a read-through re-evaluation it caps the depth at 1.
+	cached bool
 }
 
 // Value implements formula.Source.
 func (src evalSource) Value(a cell.Addr) cell.Value {
-	if src.recalc || src.inner {
+	if src.cached {
 		return src.s.Value(a)
 	}
 	fc, isFormula := src.s.Formula(a)
@@ -312,7 +314,7 @@ func (src evalSource) Value(a cell.Addr) cell.Value {
 	switch {
 	case src.e.prof.Recalc.ReevalOnRead:
 		dr, dc := fc.DeltaAt(a)
-		env := src.e.env(src.s, src.meter, true, false)
+		env := src.e.env(src.s, src.meter, true)
 		env.DR, env.DC = dr, dc
 		v := formula.Eval(fc.Code, env)
 		src.e.setCached(src.s, a, v)
@@ -323,10 +325,10 @@ func (src evalSource) Value(a cell.Addr) cell.Value {
 	return src.s.Value(a)
 }
 
-// env builds a formula evaluation environment over a sheet. inner caps
-// read-through recursion; recalc marks a calc pass (no read-through).
-func (e *Engine) env(s *sheet.Sheet, meter *costmodel.Meter, inner, recalc bool) *formula.Env {
-	var src formula.Source = evalSource{e: e, s: s, meter: meter, inner: inner, recalc: recalc}
+// env builds a formula evaluation environment over a sheet; cached turns
+// read-through off (evalSource).
+func (e *Engine) env(s *sheet.Sheet, meter *costmodel.Meter, cached bool) *formula.Env {
+	var src formula.Source = evalSource{e: e, s: s, meter: meter, cached: cached}
 	if st := e.state(s).opt; st != nil && e.prof.Lookup.Indexed {
 		src = indexedSrc{Source: src, e: e, s: s, st: st, meter: meter}
 	}
@@ -368,14 +370,7 @@ func (e *Engine) env(s *sheet.Sheet, meter *costmodel.Meter, inner, recalc bool)
 // Workbooks without cross-sheet formulae return immediately, keeping the
 // meters of every existing single-sheet operation untouched.
 func (e *Engine) refreshExternals(meter *costmodel.Meter) {
-	hasExt := false
-	for _, s := range e.wb.Sheets() {
-		if s.ExternalCount() > 0 {
-			hasExt = true
-			break
-		}
-	}
-	if !hasExt {
+	if !slices.ContainsFunc(e.wb.Sheets(), func(s *sheet.Sheet) bool { return s.ExternalCount() > 0 }) {
 		return
 	}
 	sp := obs.Start("engine.refresh_externals")
@@ -401,13 +396,7 @@ func (e *Engine) refreshExternals(meter *costmodel.Meter) {
 				for _, a := range cyclic {
 					onCycle[a] = true
 				}
-				kept := ext[:0]
-				for _, a := range ext {
-					if !onCycle[a] {
-						kept = append(kept, a)
-					}
-				}
-				ext = kept
+				ext = slices.DeleteFunc(ext, func(a cell.Addr) bool { return onCycle[a] })
 			}
 			var changed []cell.Addr
 			e.calc(s, ext, nil, meter, false, &changed)
@@ -490,12 +479,7 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 			return order, nil
 		}
 	}
-	g := e.graph(s, meter)
-	g.ResetOps()
-	order, cyclic = g.AllFormulas()
-	meter.Add(costmodel.DepOp, g.Ops())
-	g.ResetOps()
-	ss.chain = &chainCache{order: order, cyclic: cyclic}
+	order, cyclic = e.sequenceCells(s, meter)
 	if driftRec {
 		e.driftRecord(gateRecalcSeq, driftPred, meter.Sub(driftSnap))
 	}
@@ -506,29 +490,25 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 // setCached stores a formula's freshly evaluated result and reports whether
 // the value changed, by exact (case-sensitive) equality: Value.Equal folds
 // text case, which would mask real changes to string results. A change is
-// routed through the optimized profile's structure maintenance first:
-// formula results live in indexed columns like any other cell, and a raw
-// SetCachedValue would leave the indexes, the prefix sums and the
-// aggregates materialized over the column serving the stale result.
+// then routed through the optimized profile's structure maintenance:
+// formula results live in indexed columns like any other cell, and a bare
+// store would leave the indexes, the prefix sums and the aggregates
+// materialized over the column serving the stale result.
 func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) bool {
-	old := s.Value(a)
-	changed := old != v
-	if changed {
-		if st := e.state(s).opt; st != nil {
-			st.noteCellChange(e, a, old, v)
-		}
+	old, changed := store(s, a, v)
+	if st := e.state(s).opt; changed && st != nil {
+		st.noteCellChange(e, a, old, v)
 	}
-	s.SetCachedValue(a, v)
 	return changed
 }
 
-// evalAll evaluates every formula on the sheet in dependency order,
-// charging the given meter. Cyclic cells get #CYCLE!.
-func (e *Engine) evalAll(s *sheet.Sheet, meter *costmodel.Meter) {
-	sp := obs.Start("engine.eval_all")
-	order, cyclic := e.fullChain(s, meter)
-	e.calc(s, order, cyclic, meter, false, nil)
-	sp.Int("cells", int64(len(order)+len(cyclic))).End()
+// store is setCached's raw half, which stage workers call concurrently on
+// disjoint cells: it writes v and returns the value it replaced and whether
+// that differs.
+func store(s *sheet.Sheet, a cell.Addr, v cell.Value) (old cell.Value, changed bool) {
+	old = s.Value(a)
+	s.SetCachedValue(a, v)
+	return old, old != v
 }
 
 // calc is the engine's one calc pass. It evaluates the formula cells of
@@ -540,7 +520,7 @@ func (e *Engine) evalAll(s *sheet.Sheet, meter *costmodel.Meter) {
 // keeps is written instead (SetCell's incremental path). When changed is
 // non-nil, the cells of order whose value changed are appended to it.
 func (e *Engine) calc(s *sheet.Sheet, order, cyclic []cell.Addr, meter *costmodel.Meter, deltas bool, changed *[]cell.Addr) {
-	env := e.env(s, meter, false, true)
+	env := e.env(s, meter, true)
 	var aggs map[cell.Addr]*aggMat // nil map: nothing is served from deltas
 	if deltas {
 		aggs = e.state(s).opt.aggs
@@ -642,13 +622,19 @@ func (e *Engine) buildGraph(s *sheet.Sheet, meter *costmodel.Meter) *graph.Graph
 func (e *Engine) resequence(s *sheet.Sheet, meter *costmodel.Meter) {
 	sp := obs.Start("engine.resequence")
 	defer sp.End()
-	ss := e.state(s).current()
+	e.sequenceCells(s, meter)
+}
+
+// sequenceCells orders the sheet's formulas over the per-cell graph, charged
+// to meter, and caches the order as the sheet's calc chain.
+func (e *Engine) sequenceCells(s *sheet.Sheet, meter *costmodel.Meter) (order, cyclic []cell.Addr) {
 	g := e.graph(s, meter)
 	g.ResetOps()
-	order, cyclic := g.AllFormulas()
+	order, cyclic = g.AllFormulas()
 	meter.Add(costmodel.DepOp, g.Ops())
 	g.ResetOps()
-	ss.chain = &chainCache{order: order, cyclic: cyclic}
+	e.state(s).current().chain = &chainCache{order: order, cyclic: cyclic}
+	return order, cyclic
 }
 
 // recalcDirty evaluates the transitive dependents of the changed cells in

@@ -41,6 +41,11 @@ func (e *Engine) Open(path string) (Result, error) {
 	lazyValueOnly := (e.prof.Web && e.prof.LazyViewport || e.prof.Opt.LazyOpen) &&
 		res.Formulas == 0
 	window := int64(e.prof.WindowRows)
+	first := e.wb.First()
+	cols := int64(1)
+	if first != nil {
+		cols = int64(first.Cols())
+	}
 
 	switch {
 	case lazyValueOnly:
@@ -48,11 +53,6 @@ func (e *Engine) Open(path string) (Result, error) {
 		// loads on demand. For the desktop LazyOpen case the window's
 		// share of the file is parsed eagerly.
 		wsp := obs.Start("open.window")
-		first := e.wb.First()
-		cols := int64(1)
-		if first != nil {
-			cols = int64(first.Cols())
-		}
 		winCells := window * cols
 		if !e.prof.Web {
 			rows := int64(1)
@@ -78,16 +78,11 @@ func (e *Engine) Open(path string) (Result, error) {
 		for _, s := range e.wb.Sheets() {
 			e.state(s).g = e.buildGraph(s, &e.meter)
 			if e.prof.Recalc.OnOpen {
-				e.evalAll(s, &e.meter)
+				e.evalAll(s, &e.meter, 1, false, nil)
 			}
 		}
 		bsp.End()
 		// Render the first window.
-		first := e.wb.First()
-		cols := int64(1)
-		if first != nil {
-			cols = int64(first.Cols())
-		}
 		e.meter.Add(costmodel.RenderCell, window*cols)
 		if err := e.netCall(window * cols * bytesPerCell); err != nil {
 			return t.finish(), err
@@ -183,7 +178,7 @@ func (e *Engine) Sort(s *sheet.Sheet, col int, ascending bool, headerRows int) (
 			})
 			e.evalNecessary(s, need, &e.meter)
 		} else {
-			e.evalAll(s, &e.meter)
+			e.evalAll(s, &e.meter, 1, false, nil)
 		}
 		rsp.End()
 	}
@@ -286,17 +281,15 @@ func (e *Engine) ConditionalFormat(s *sheet.Sheet, rng cell.Range, criterion cel
 	t := e.begin(OpCondFormat)
 	crit := formula.CompileCriterion(criterion)
 
-	// Detect embedded formulae in the range.
-	hasFormulas := false
-	if s.FormulaCount() > 0 {
-		s.EachFormula(func(a cell.Addr, _ sheet.Formula) bool {
-			if rng.Contains(a) {
-				hasFormulas = true
-				return false
-			}
-			return true
-		})
-	}
+	// Embedded formulae in the range.
+	var inRange []cell.Addr
+	s.EachFormula(func(a cell.Addr, _ sheet.Formula) bool {
+		if rng.Contains(a) {
+			inRange = append(inRange, a)
+		}
+		return true
+	})
+	hasFormulas := len(inRange) > 0
 
 	endRow := rng.End.Row
 	if e.prof.Web && e.prof.LazyViewport && !hasFormulas {
@@ -305,18 +298,16 @@ func (e *Engine) ConditionalFormat(s *sheet.Sheet, rng cell.Range, criterion cel
 		}
 	}
 
-	env := e.env(s, &e.meter, true, false) // inner: no read-through recursion
 	ssp := obs.Start("condformat.scan").Int("rows", int64(endRow-rng.Start.Row+1))
+	if hasFormulas && e.prof.Recalc.OnCondFormat {
+		// Row-major, the order in which the scan below meets them.
+		sortAddrs(inRange)
+		e.calc(s, inRange, nil, &e.meter, false, nil)
+	}
 	matched := 0
 	for r := rng.Start.Row; r <= endRow; r++ {
 		for c := rng.Start.Col; c <= rng.End.Col; c++ {
 			a := cell.Addr{Row: r, Col: c}
-			if hasFormulas && e.prof.Recalc.OnCondFormat {
-				if fc, ok := s.Formula(a); ok {
-					env.DR, env.DC = fc.DeltaAt(a)
-					e.setCached(s, a, formula.Eval(fc.Code, env))
-				}
-			}
 			v := s.Value(a)
 			e.meter.Add(costmodel.CellTouch, 1)
 			e.meter.Add(costmodel.Compare, 1)
@@ -342,7 +333,7 @@ func (e *Engine) ConditionalFormat(s *sheet.Sheet, rng cell.Range, criterion cel
 		}
 	}
 	if hasFormulas && e.prof.Recalc.OnCondFormat {
-		// The in-range re-evaluation above rewrote formula caches; settle
+		// The in-range re-evaluation rewrote formula caches; settle
 		// any cross-sheet readers of those cells.
 		e.refreshExternals(&e.meter)
 	}
@@ -409,7 +400,7 @@ func (e *Engine) PivotTable(s *sheet.Sheet, dimCol, measureCol, headerRows int) 
 	if e.prof.Recalc.OnNewSheet && s.FormulaCount() > 0 {
 		// Unmultiplied: the recomputation is ordinary calc-chain work,
 		// not pivot machinery (see opTimer.finish).
-		e.evalAll(s, &e.recalcMeter)
+		e.evalAll(s, &e.recalcMeter, 1, false, nil)
 	}
 	e.refreshExternals(&e.meter)
 	return out, t.finish(), nil
@@ -434,6 +425,23 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 
 	var changed []cell.Addr
 	st := e.state(s).opt
+	replaceAt := func(a cell.Addr) {
+		v := s.Value(a)
+		e.meter.Add(costmodel.CellTouch, 1)
+		if v.Kind != cell.Text || !strings.Contains(v.Str, find) {
+			return
+		}
+		if _, isFormula := s.Formula(a); isFormula {
+			return
+		}
+		nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
+		if st != nil {
+			st.noteCellChange(e, a, v, nv)
+		}
+		s.SetValue(a, nv)
+		e.meter.Add(costmodel.CellWrite, 1)
+		changed = append(changed, a)
+	}
 	indexed := st != nil && e.prof.Opt.InvertedIndex && len(indexTokenize(find)) == 1
 	scanName := "find.scan"
 	if indexed {
@@ -448,38 +456,14 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 		e.meter.Add(costmodel.IndexProbe, int64(probes))
 		// Copy: replacement mutates the posting list under us otherwise.
 		for _, a := range append([]cell.Addr(nil), hits...) {
-			v := s.Value(a)
-			e.meter.Add(costmodel.CellTouch, 1)
-			if _, isFormula := s.Formula(a); isFormula || v.Kind != cell.Text || !strings.Contains(v.Str, find) {
-				continue
-			}
-			nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
-			st.noteCellChange(e, a, v, nv)
-			s.SetValue(a, nv)
-			e.meter.Add(costmodel.CellWrite, 1)
-			changed = append(changed, a)
+			replaceAt(a)
 		}
 	} else {
 		rows, cols := s.Rows(), s.Cols()
 		for r := 0; r < rows; r++ {
 			for c := 0; c < cols; c++ {
-				a := cell.Addr{Row: r, Col: c}
-				v := s.Value(a)
-				e.meter.Add(costmodel.CellTouch, 1)
 				e.meter.Add(costmodel.Compare, 1)
-				if v.Kind != cell.Text || !strings.Contains(v.Str, find) {
-					continue
-				}
-				if _, isFormula := s.Formula(a); isFormula {
-					continue
-				}
-				nv := cell.Str(strings.ReplaceAll(v.Str, find, replace))
-				if st != nil {
-					st.noteCellChange(e, a, v, nv)
-				}
-				s.SetValue(a, nv)
-				e.meter.Add(costmodel.CellWrite, 1)
-				changed = append(changed, a)
+				replaceAt(cell.Addr{Row: r, Col: c})
 			}
 		}
 	}
@@ -643,7 +627,7 @@ func (e *Engine) insert(s *sheet.Sheet, a cell.Addr, c *formula.Compiled, env *f
 		e.met.fastEvalHits.Add(1)
 	} else {
 		if env == nil {
-			env = e.env(s, &e.meter, false, false)
+			env = e.env(s, &e.meter, false)
 		}
 		e.driftArm()
 		v = formula.Eval(c, env)
@@ -681,7 +665,7 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 	}
 	t := e.begin(OpBatchInsert)
 	bsp := obs.Start("batch.fill").Int("items", int64(len(items)))
-	env := e.env(s, &e.meter, false, true)
+	env := e.env(s, &e.meter, true)
 	for _, it := range items {
 		compiled, err := formula.Compile(it.Text)
 		if err != nil {
@@ -777,16 +761,4 @@ func (e *Engine) ReadColumn(s *sheet.Sheet, col, r0, r1 int) ([]cell.Value, Resu
 		out = append(out, s.Value(cell.Addr{Row: r, Col: col}))
 	}
 	return out, t.finish()
-}
-
-// Recalculate forces a full recomputation of a sheet's formulae (the F9 key
-// in Excel), charged as a SetCell-class operation.
-func (e *Engine) Recalculate(s *sheet.Sheet) (Result, error) {
-	if s == nil {
-		return Result{}, errSheet("Recalculate")
-	}
-	t := e.begin(OpSetCell)
-	e.evalAll(s, &e.meter)
-	e.refreshExternals(&e.meter)
-	return t.finish(), nil
 }

@@ -455,9 +455,10 @@ func (st *optState) noteFormulaResult(e *Engine, s *sheet.Sheet, at cell.Addr, c
 
 // noteCellChange maintains every built structure for one cell's value
 // change, and applies O(1) deltas to the materialized aggregates covering
-// it. Called before the sheet is updated (old is still in place). The calc
-// pass that follows writes each host's new value through setCached, which
-// maintains the host's own column in turn.
+// it. It reads nothing from the sheet, so it runs before the write
+// (SetCell) or after it (setCached, runStages). The calc pass that follows
+// writes each host's new value through setCached, which maintains the
+// host's own column in turn.
 func (st *optState) noteCellChange(e *Engine, a cell.Addr, old, new cell.Value) {
 	st.version++
 	st.colVer[a.Col] = st.version

@@ -137,7 +137,7 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	if need != nil {
 		e.evalNecessary(s, need, &e.meter)
 	} else if s.FormulaCount() > 0 {
-		e.evalAll(s, &e.meter)
+		e.evalAll(s, &e.meter, 1, false, nil)
 	}
 	e.refreshExternals(&e.meter)
 	if e.prof.Web {

@@ -1,8 +1,10 @@
 package formula
 
 import (
+	"cmp"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/cell"
 )
@@ -105,7 +107,14 @@ func (c Criterion) Match(v cell.Value) bool {
 	if c.op == OpNE && v.IsEmpty() {
 		return false // blanks never count toward "<>text"
 	}
-	s := strings.ToLower(v.AsString())
+	// Text compares as strings.ToLower(text) against the lowercase
+	// pattern. ASCII text folds byte by byte as it is read (wildMatch,
+	// compareFolded), so it is not copied; other text takes the full Unicode
+	// mapping first, after which folding is a no-op.
+	s := v.AsString()
+	if !isASCII(s) {
+		s = strings.ToLower(s)
+	}
 	if c.hasWild {
 		ok := wildMatch(c.text, s)
 		if c.op == OpNE {
@@ -113,21 +122,55 @@ func (c Criterion) Match(v cell.Value) bool {
 		}
 		return ok
 	}
+	d := compareFolded(s, c.text)
 	switch c.op {
 	case OpEQ:
-		return s == c.text
+		return d == 0
 	case OpNE:
-		return s != c.text
+		return d != 0
 	case OpLT:
-		return s < c.text
+		return d < 0
 	case OpLE:
-		return s <= c.text
+		return d <= 0
 	case OpGT:
-		return s > c.text
+		return d > 0
 	case OpGE:
-		return s >= c.text
+		return d >= 0
 	}
 	return false
+}
+
+// isASCII reports whether s is pure ASCII, where strings.ToLower only maps
+// 'A'-'Z'.
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			return false
+		}
+	}
+	return true
+}
+
+// lowerByte folds an ASCII upper-case letter to lower case.
+func lowerByte(b byte) byte {
+	if 'A' <= b && b <= 'Z' {
+		return b + 'a' - 'A'
+	}
+	return b
+}
+
+// compareFolded is strings.Compare(fold(s), t), where fold lowers s's
+// ASCII letters.
+func compareFolded(s, t string) int {
+	for i := 0; i < len(s) && i < len(t); i++ {
+		if b := lowerByte(s[i]); b != t[i] {
+			if b < t[i] {
+				return -1
+			}
+			return 1
+		}
+	}
+	return cmp.Compare(len(s), len(t))
 }
 
 // numericForCriterion extracts a number for numeric criteria: numbers and
@@ -146,16 +189,17 @@ func numericForCriterion(v cell.Value) (float64, bool) {
 }
 
 // wildMatch matches pattern p (lowercase, may contain '*' and '?', with '~'
-// escaping) against s (lowercase). Iterative two-pointer algorithm with
+// escaping) against s, whose ASCII letters it folds to lower case. Iterative two-pointer algorithm with
 // backtracking over the last '*'; O(len(p)*len(s)) worst case, linear in
 // practice.
 func wildMatch(p, s string) bool {
 	pi, si := 0, 0
 	star, mark := -1, 0
 	for si < len(s) {
+		b := lowerByte(s[si])
 		switch {
 		case pi < len(p) && p[pi] == '~' && pi+1 < len(p):
-			if p[pi+1] == s[si] {
+			if p[pi+1] == b {
 				pi += 2
 				si++
 				continue
@@ -165,7 +209,7 @@ func wildMatch(p, s string) bool {
 			}
 			pi, mark = star+1, mark+1
 			si = mark
-		case pi < len(p) && (p[pi] == '?' || p[pi] == s[si]):
+		case pi < len(p) && (p[pi] == '?' || p[pi] == b):
 			pi++
 			si++
 		case pi < len(p) && p[pi] == '*':

@@ -203,3 +203,72 @@ func TestLiteralCriteriaCompiledOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestCriterionMatchFoldsLikeToLower holds Match's case folding to the
+// strings.ToLower comparison it replaces, for every text operator, over
+// ASCII, non-ASCII and invalid UTF-8 text on both sides.
+func TestCriterionMatchFoldsLikeToLower(t *testing.T) {
+	old := func(op BinOp, s, pat string) bool {
+		s = strings.ToLower(s)
+		switch op {
+		case OpEQ:
+			return s == pat
+		case OpNE:
+			return s != pat
+		case OpLT:
+			return s < pat
+		case OpLE:
+			return s <= pat
+		case OpGT:
+			return s > pat
+		}
+		return s >= pat
+	}
+	texts := []string{
+		"", "a", "A", "storm", "STORM", "Storm", "STORMS", "STOR", "stOrm",
+		"[", "@", "_", "Zebra", "zebra", "ÉCOLE", "école", "Ünïcode",
+		"İstanbul", "ẞ", "KELVIN", "Kelvin", "\xff", "A\xffB", "日本",
+	}
+	ops := []struct {
+		prefix string
+		op     BinOp
+	}{{"=", OpEQ}, {"<>", OpNE}, {"<", OpLT}, {"<=", OpLE}, {">", OpGT}, {">=", OpGE}}
+	for _, pat := range texts {
+		for _, o := range ops {
+			crit := CompileCriterion(cell.Str(o.prefix + pat))
+			if crit.isNum || crit.hasWild {
+				continue
+			}
+			for _, s := range texts {
+				v := cell.Str(s)
+				if o.op == OpNE && v.IsEmpty() {
+					continue // "<>text" never counts blanks
+				}
+				if got, want := crit.Match(v), old(o.op, s, crit.text); got != want {
+					t.Errorf("%q matched against %q: %v, ToLower comparison gives %v", o.prefix+pat, s, got, want)
+				}
+			}
+		}
+	}
+	// Wildcards fold the same way.
+	for _, c := range []struct {
+		pat, s string
+		want   bool
+	}{{"ST*M", "storm", true}, {"st?rm", "STORM", true}, {"é*", "ÉCOLE", true}, {"s~*", "S*", true}, {"s~*", "SX", false}} {
+		if got := CompileCriterion(cell.Str(c.pat)).Match(cell.Str(c.s)); got != c.want {
+			t.Errorf("%q matched against %q: %v, want %v", c.pat, c.s, got, c.want)
+		}
+	}
+}
+
+// TestCriterionMatchAllocatesNothing: a text criterion tests upper-case
+// ASCII text without copying it.
+func TestCriterionMatchAllocatesNothing(t *testing.T) {
+	crit := CompileCriterion(cell.Str("STORM"))
+	for _, s := range []string{"STORM", "Rain", "storm"} {
+		v := cell.Str(s)
+		if n := testing.AllocsPerRun(100, func() { crit.Match(v) }); n != 0 {
+			t.Errorf("Match(%q) allocates %.0f times", s, n)
+		}
+	}
+}

@@ -7,8 +7,9 @@
 # Usage: check.sh [stage]
 #   lint       formatting, vet, sheetlint, build — the fast static half
 #   race       the full test suite under the race detector, plus a stress
-#              loop over the staged parallel scheduler and a repeat loop
-#              over the B+-tree suite (insert/remove invariants)
+#              loop over the recalculation executor's concurrent entry
+#              points (parallel, staged, async) and a repeat loop over the
+#              B+-tree suite (insert/remove invariants)
 #   bench      bench-smoke: one-iteration benchmark subset into
 #              BENCH_engine.json plus a tiny traced runner pass, both
 #              validated with cmd/obscheck
@@ -83,8 +84,8 @@ if [ "$stage" = "race" ] || [ "$stage" = "all" ]; then
     echo "== go test -race =="
     go test -race ./...
 
-    echo "== staged-scheduler stress (-race, 5x) =="
-    go test -race -count=5 -run Parallel ./internal/engine
+    echo "== recalculation executor stress: parallel, staged, async (-race, 5x) =="
+    go test -race -count=5 -run 'Parallel|Staged|Async' ./internal/engine
 
     echo "== B+-tree insert/remove invariants (200x) =="
     go test -count=200 -run BTree ./internal/index
