@@ -839,9 +839,9 @@ func BenchmarkSortPair(b *testing.B) {
 }
 
 // BenchmarkCrossSheetEdit is one ledger amount edit on the optimized
-// profile: every value change re-evaluates each cross-sheet formula of the
-// workbook (the external-refresh pass), so its allocations are the
-// tripwire for per-cell waste in that pass.
+// profile: the cross-sheet settle re-evaluates only the summary's readers
+// of the edited column, so its allocations are the tripwire for a return
+// to re-evaluating every cross-sheet formula of the workbook.
 func BenchmarkCrossSheetEdit(b *testing.B) {
 	const rows = 2000
 	eng := engine.New(engine.OptimizedProfile())
@@ -853,6 +853,32 @@ func BenchmarkCrossSheetEdit(b *testing.B) {
 	edit := func(i int) {
 		at := cell.Addr{Row: 1 + (i*97)%rows, Col: workload.LedgerColAmount}
 		if _, err := eng.SetCell(s, at, cell.Num(float64(1+i%500))); err != nil {
+			b.Fatal(err)
+		}
+	}
+	edit(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		edit(i + 1)
+	}
+}
+
+// BenchmarkCrossSheetLookupEdit is one accounts budget edit on a 2,000-row
+// ledger, optimized profile: every ledger VLOOKUP reads the edited table,
+// so the settle re-evaluates that whole reader group, then the ledger
+// cells whose values changed and their dependents.
+func BenchmarkCrossSheetLookupEdit(b *testing.B) {
+	const rows = 2000
+	eng := engine.New(engine.OptimizedProfile())
+	wb := workload.Ledger(workload.Spec{Rows: rows, Formulas: true})
+	if err := eng.Install(wb); err != nil {
+		b.Fatal(err)
+	}
+	s := wb.Sheet("accounts")
+	edit := func(i int) {
+		at := cell.Addr{Row: 1 + i%len(workload.LedgerAccounts), Col: 2}
+		if _, err := eng.SetCell(s, at, cell.Num(float64(100*(1+i%30)))); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -83,7 +83,8 @@ func checkGraph(s *sheet.Sheet, live, fresh *graph.Graph) error {
 
 // checkFormulaSet checks the artifacts derived from the formula set: the
 // calc chain, the region inference and its graph, the parallel
-// certificate, and the value certificate while it is valid.
+// certificate, the cross-sheet reader index, and the value certificate
+// while it is valid.
 func checkFormulaSet(e *Engine, s *sheet.Sheet, ss *sheetState, fresh *graph.Graph) error {
 	sr := regions.Infer(s)
 	rg := regions.Build(sr)
@@ -112,6 +113,11 @@ func checkFormulaSet(e *Engine, s *sheet.Sheet, ss *sheetState, fresh *graph.Gra
 			len(c.Blockers) != len(want.Blockers) {
 			return fmt.Errorf("parallel certificate (version %d, %d regions, %d stages, ok=%t) differs from a fresh one (version %d, %d regions, %d stages, ok=%t)",
 				c.Version, c.Regions, c.StageCount(), c.OK, ss.ver, want.Regions, want.StageCount(), want.OK)
+		}
+	}
+	if ix := ss.readers; ix != nil {
+		if want := buildReaders(s); !reflect.DeepEqual(ix, want) {
+			return fmt.Errorf("reader index (%d groups) differs from a fresh build (%d groups)", len(ix.groups), len(want.groups))
 		}
 	}
 	if vc := ss.vcert; vc != nil && ss.opt != nil && ss.opt.version == vc.optVersion {

@@ -61,6 +61,13 @@ type Engine struct {
 	// (drift.go); single-threaded like the engine itself.
 	driftPend driftPending
 
+	// Cross-sheet settle state (xsheet.go): track says the current
+	// operation logs its writes; seen is the sheet list at the last settle
+	// and fresh the sheets appended since.
+	track bool
+	seen  []*sheet.Sheet
+	fresh []*sheet.Sheet
+
 	nowFn func() time.Time
 	met   engineMetrics
 }
@@ -107,20 +114,27 @@ type sheetState struct {
 	opt *optState
 	// ver is the version the formula-set artifacts below were derived at;
 	// current drops them once version moves past it.
-	ver    int64
-	chain  *chainCache
-	region *regions.Graph
-	pcert  *interfere.Cert
-	vcert  *valueCertEntry
+	ver     int64
+	chain   *chainCache
+	region  *regions.Graph
+	pcert   *interfere.Cert
+	vcert   *valueCertEntry
+	readers *readerIndex
+	// changed logs the cells the current operation changed, box bounds
+	// them, and all says any cell may have: the cross-sheet settle's input,
+	// written only while the operation tracks (xsheet.go).
+	changed []cell.Addr
+	box     cell.Range
+	all     bool
 }
 
 // current drops every formula-set artifact derived at an older version —
-// the one validity check for the calc chain, the region inference, and the
-// parallel and value certificates — and returns ss.
+// the one validity check for the calc chain, the region inference, the
+// parallel and value certificates, and the reader index — and returns ss.
 func (ss *sheetState) current() *sheetState {
 	if ss.version != ss.ver {
 		ss.ver = ss.version
-		ss.chain, ss.region, ss.pcert, ss.vcert = nil, nil, nil, nil
+		ss.chain, ss.region, ss.pcert, ss.vcert, ss.readers = nil, nil, nil, nil, nil
 	}
 	return ss
 }
@@ -161,6 +175,8 @@ func (e *Engine) resetDerived() {
 	}
 	e.planEntry = nil
 	e.planCache = nil
+	e.track = false
+	e.seen = append(e.seen[:0], e.wb.Sheets()...)
 }
 
 // Install adopts a prepared workbook without metering (experiment setup,
@@ -198,7 +214,7 @@ func (e *Engine) Install(wb *sheet.Workbook) error {
 	}
 	// Sheets were evaluated in tab order; cross-sheet references into
 	// later sheets need the fixpoint pass to settle.
-	e.refreshExternals(&e.meter)
+	e.refreshExternals(&e.meter, "install")
 	if e.prof.Opt.ValueCerts {
 		// Value-certificate pre-flight: issue after the external fixpoint,
 		// when every cached value is settled, so the per-constant issuance
@@ -231,6 +247,9 @@ type opTimer struct {
 
 func (e *Engine) begin(kind OpKind) opTimer {
 	e.opSeq++
+	// Writes are logged for the cross-sheet settle only where it reads
+	// them, and only when there is a reader to settle.
+	e.track = e.prof.Opt.RegionGraph && hasExternals(e.wb)
 	return opTimer{
 		e:          e,
 		kind:       kind,
@@ -349,8 +368,8 @@ func (e *Engine) env(s *sheet.Sheet, meter *costmodel.Meter, cached bool) *formu
 		Lookup: e.prof.Lookup,
 		// Cross-sheet references read the foreign sheet's cached values
 		// directly — no read-through re-evaluation — so a sheet!ref sees the
-		// same state in every profile; refreshExternals keeps those caches
-		// current after each value-mutating operation.
+		// same state in every profile; settle keeps those caches current
+		// after each value-mutating operation.
 		Ext: func(name string) formula.Source {
 			if fs := e.wb.Sheet(name); fs != nil {
 				return fs
@@ -361,19 +380,20 @@ func (e *Engine) env(s *sheet.Sheet, meter *costmodel.Meter, cached bool) *formu
 	}
 }
 
-// refreshExternals brings every cross-sheet formula cell up to date after a
-// value-mutating operation, then propagates any changes to sheet-local
-// dependents. Cross-sheet precedents are invisible to the per-sheet
-// dependency graphs (the footprint analyzer marks them unanalyzable), so
-// all profiles share this uniform refresh pass — a simplified form of the
+// refreshExternals brings every cross-sheet formula cell up to date, round
+// by round, then propagates any changes to sheet-local dependents: the
+// naive profiles' post-operation refresh, Install's and Open's, and the
+// settle's fallback (why names the case). Cross-sheet precedents are
+// invisible to the per-sheet dependency graphs (the footprint analyzer
+// marks them unanalyzable) — this is a simplified form of the
 // whole-workbook recalculation real systems run across sheet boundaries.
 // Workbooks without cross-sheet formulae return immediately, keeping the
 // meters of every existing single-sheet operation untouched.
-func (e *Engine) refreshExternals(meter *costmodel.Meter) {
-	if !slices.ContainsFunc(e.wb.Sheets(), func(s *sheet.Sheet) bool { return s.ExternalCount() > 0 }) {
+func (e *Engine) refreshExternals(meter *costmodel.Meter, why string) {
+	if !hasExternals(e.wb) {
 		return
 	}
-	sp := obs.Start("engine.refresh_externals")
+	sp := obs.Start("engine.refresh_externals").Str("source", "rounds").Str("reason", why)
 	defer sp.End()
 	// A change propagates at most one sheet per round along an acyclic
 	// cross-sheet chain, so Len()+1 rounds reach a fixpoint; cyclic
@@ -496,10 +516,20 @@ func (e *Engine) fullChain(s *sheet.Sheet, meter *costmodel.Meter) (order, cycli
 // materialized over the column serving the stale result.
 func (e *Engine) setCached(s *sheet.Sheet, a cell.Addr, v cell.Value) bool {
 	old, changed := store(s, a, v)
-	if st := e.state(s).opt; changed && st != nil {
-		st.noteCellChange(e, a, old, v)
+	if changed {
+		e.noteResult(s, a, old, v)
 	}
 	return changed
+}
+
+// noteResult is setCached's bookkeeping for a changed result: the
+// optimization structures' maintenance and the cross-sheet change log.
+func (e *Engine) noteResult(s *sheet.Sheet, a cell.Addr, old, v cell.Value) {
+	ss := e.state(s)
+	if ss.opt != nil {
+		ss.opt.noteCellChange(e, a, old, v)
+	}
+	e.noteChange(ss, a)
 }
 
 // store is setCached's raw half, which stage workers call concurrently on
@@ -582,6 +612,7 @@ func (e *Engine) calc(s *sheet.Sheet, order, cyclic []cell.Addr, meter *costmode
 // RegionGraph the per-cell graph is released for graph() to rebuild if a
 // consumer asks. A delete that removed the last formulas still counts.
 func (e *Engine) rowsMoved(s *sheet.Sheet) {
+	e.noteAll(s)
 	ss := e.state(s)
 	if ss.opt != nil {
 		ss.opt.rebuildAfterReorder()

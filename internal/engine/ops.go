@@ -98,7 +98,7 @@ func (e *Engine) Open(path string) (Result, error) {
 		}
 		osp.End()
 	}
-	e.refreshExternals(&e.meter)
+	e.refreshExternals(&e.meter, "open")
 	return t.finish(), nil
 }
 
@@ -182,17 +182,16 @@ func (e *Engine) Sort(s *sheet.Sheet, col int, ascending bool, headerRows int) (
 		}
 		rsp.End()
 	}
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	return t.finish(), nil
 }
 
 // evalNecessary is the recalculation-necessity analysis of §6 after a row
 // move (a sort or a structural edit): only the formulas in need are
 // re-evaluated, in calc-chain order (one can read another); every other
-// formula moved with the inputs it reads. The changed values then
-// propagate, since their dependents are stale however local they are. A
-// move can change which cells sit on a reference cycle, so a sheet whose
-// chain has cyclic cells is recomputed in full.
+// formula moved with the inputs it reads. A move can change which cells
+// sit on a reference cycle, which evalPicked's full pass over a cyclic
+// chain covers.
 func (e *Engine) evalNecessary(s *sheet.Sheet, need map[cell.Addr]bool, meter *costmodel.Meter) {
 	meter.Add(costmodel.DepOp, int64(s.FormulaCount())) // the per-formula necessity test
 	if len(need) == 0 {
@@ -200,6 +199,14 @@ func (e *Engine) evalNecessary(s *sheet.Sheet, need map[cell.Addr]bool, meter *c
 	}
 	sp := obs.Start("engine.recalc_dirty").Str("source", "necessity").Int("seeds", int64(len(need)))
 	defer sp.End()
+	e.evalPicked(s, need, meter)
+}
+
+// evalPicked re-evaluates the formulas in need in calc-chain order (one can
+// read another), then propagates the changed values, since their dependents
+// are stale however local they are. A sheet whose chain has cyclic cells is
+// recomputed in full. evalNecessary and the cross-sheet settle share it.
+func (e *Engine) evalPicked(s *sheet.Sheet, need map[cell.Addr]bool, meter *costmodel.Meter) {
 	order, cyclic := e.fullChain(s, meter)
 	if len(cyclic) > 0 {
 		e.calc(s, order, cyclic, meter, false, nil)
@@ -335,7 +342,7 @@ func (e *Engine) ConditionalFormat(s *sheet.Sheet, rng cell.Range, criterion cel
 	if hasFormulas && e.prof.Recalc.OnCondFormat {
 		// The in-range re-evaluation rewrote formula caches; settle
 		// any cross-sheet readers of those cells.
-		e.refreshExternals(&e.meter)
+		e.settle(&e.meter)
 	}
 	return matched, t.finish(), nil
 }
@@ -402,7 +409,7 @@ func (e *Engine) PivotTable(s *sheet.Sheet, dimCol, measureCol, headerRows int) 
 		// not pivot machinery (see opTimer.finish).
 		e.evalAll(s, &e.recalcMeter, 1, false, nil)
 	}
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	return out, t.finish(), nil
 }
 
@@ -424,7 +431,8 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 	t := e.begin(OpFindReplace)
 
 	var changed []cell.Addr
-	st := e.state(s).opt
+	ss := e.state(s)
+	st := ss.opt
 	replaceAt := func(a cell.Addr) {
 		v := s.Value(a)
 		e.meter.Add(costmodel.CellTouch, 1)
@@ -440,6 +448,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 		}
 		s.SetValue(a, nv)
 		e.meter.Add(costmodel.CellWrite, 1)
+		e.noteChange(ss, a)
 		changed = append(changed, a)
 	}
 	indexed := st != nil && e.prof.Opt.InvertedIndex && len(indexTokenize(find)) == 1
@@ -477,7 +486,7 @@ func (e *Engine) FindReplace(s *sheet.Sheet, find, replace string) (int, Result,
 		e.recalcDirty(s, changed, &e.meter, false)
 	}
 	if len(changed) > 0 {
-		e.refreshExternals(&e.meter)
+		e.settle(&e.meter)
 	}
 	return len(changed), t.finish(), nil
 }
@@ -535,6 +544,7 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 			}
 			s.SetValue(to, v)
 			if old != v {
+				e.noteChange(ss, to)
 				changed = append(changed, to)
 			}
 		}
@@ -551,7 +561,7 @@ func (e *Engine) CopyPaste(s *sheet.Sheet, src cell.Range, dst cell.Addr) (cell.
 	if len(changed) > 0 && s.FormulaCount() > 0 {
 		e.recalcDirty(s, changed, &e.meter, false)
 	}
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	out := cell.RangeOf(dst, cell.Addr{Row: src.End.Row + dr, Col: src.End.Col + dc})
 	if e.prof.Web {
 		if err := e.netCall(int64(out.Cells()) * bytesPerCell); err != nil {
@@ -594,7 +604,7 @@ func (e *Engine) InsertFormula(s *sheet.Sheet, a cell.Addr, text string) (cell.V
 		esp.Str("source", "eval")
 	}
 	esp.End()
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	if e.prof.Web {
 		if err := e.netCall(64); err != nil {
 			return v, t.finish(), err
@@ -677,7 +687,7 @@ func (e *Engine) InsertFormulaBatch(s *sheet.Sheet, items []BatchItem) (Result, 
 		e.insert(s, it.At, compiled, env)
 	}
 	bsp.End()
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	if e.prof.Web {
 		if err := e.netCall(int64(len(items)) * bytesPerCell); err != nil {
 			return t.finish(), err
@@ -710,6 +720,9 @@ func (e *Engine) SetCell(s *sheet.Sheet, a cell.Addr, v cell.Value) (Result, err
 	}
 	s.SetValue(a, v)
 	e.meter.Add(costmodel.CellWrite, 1)
+	if old != v {
+		e.noteChange(e.state(s), a)
+	}
 	if e.prof.Web {
 		if err := e.netCall(bytesPerCell); err != nil {
 			return t.finish(), err
@@ -719,7 +732,7 @@ func (e *Engine) SetCell(s *sheet.Sheet, a cell.Addr, v cell.Value) (Result, err
 	if deltas || s.FormulaCount() > 0 {
 		e.recalcDirty(s, []cell.Addr{a}, &e.meter, deltas)
 	}
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	return t.finish(), nil
 }
 

@@ -119,12 +119,14 @@ func (e *Engine) RecalculateAsync(s *sheet.Sheet) (*AsyncRecalc, error) {
 }
 
 // recalculate wraps evalAll in one SetCell-class operation ending with
-// refreshExternals, so cross-sheet readers see the new values.
+// the cross-sheet settle, so cross-sheet readers see the new values; the
+// whole sheet counts as changed.
 func (e *Engine) recalculate(s *sheet.Sheet, workers int, strict bool, bg *AsyncRecalc) (Result, error) {
 	t := e.begin(OpSetCell)
+	e.noteAll(s)
 	err := e.evalAll(s, &e.meter, workers, strict, bg)
 	if err == nil {
-		e.refreshExternals(&e.meter)
+		e.settle(&e.meter)
 	}
 	return t.finish(), err
 }
@@ -280,11 +282,9 @@ func (e *Engine) runStages(s *sheet.Sheet, cert *interfere.Cert, rg *regions.Gra
 			}()
 		}
 		wg.Wait()
-		if st := e.state(s).opt; st != nil {
-			for _, cs := range changes {
-				for _, c := range cs {
-					st.noteCellChange(e, c.at, c.old, c.v)
-				}
+		for _, cs := range changes {
+			for _, c := range cs {
+				e.noteResult(s, c.at, c.old, c.v)
 			}
 		}
 	}

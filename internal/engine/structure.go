@@ -139,7 +139,7 @@ func (e *Engine) structEdit(s *sheet.Sheet, at, delta int, rowAxis bool) (Result
 	} else if s.FormulaCount() > 0 {
 		e.evalAll(s, &e.meter, 1, false, nil)
 	}
-	e.refreshExternals(&e.meter)
+	e.settle(&e.meter)
 	if e.prof.Web {
 		if err := e.netCall(int64(e.prof.WindowRows) * int64(s.Cols()) * bytesPerCell); err != nil {
 			return t.finish(), err

@@ -51,12 +51,20 @@ func Generate(cfg Config, n int) []tracelang.Op {
 				}
 			}
 			op = tracelang.SetOp{At: at, Raw: raw}
-		case w < 40: // insert a formula in a scratch column
-			text := active.formulaText(rng, main)
+		case w < 40: // insert a formula, mostly in a scratch column
+			text := active.formulaText(rng, main, shapes)
 			if text == "" {
 				continue
 			}
 			at := cell.Addr{Row: rng.Intn(maxInt(active.rows, 1)), Col: active.cols + 1 + rng.Intn(2)}
+			if active == main && len(shapes) > 1 && len(main.numCols) > 0 && rng.Intn(6) == 0 {
+				// A formula over a data cell that other sheets' readers of
+				// main read. It has no precedents: one reading its own
+				// column would close a local reference cycle, which is not
+				// what this op aims at.
+				at = cell.Addr{Row: 1 + rng.Intn(maxInt(main.rows-1, 1)), Col: main.numCols[rng.Intn(len(main.numCols))]}
+				text = fmt.Sprintf("=%d*2", rng.Intn(1000))
+			}
 			op = tracelang.FormulaOp{At: at, Text: text}
 		case w < 50: // sort by a data column
 			op = tracelang.SortOp{Col: rng.Intn(active.cols), Asc: rng.Intn(2) == 0}
@@ -178,12 +186,27 @@ func (sh *sheetShape) filterTarget(rng *rand.Rand) (int, string) {
 }
 
 // formulaText picks a non-volatile formula template over the sheet's numeric
-// data columns; when the active sheet is not the main one it sometimes emits
-// a cross-sheet aggregate over the main sheet instead.
-func (sh *sheetShape) formulaText(rng *rand.Rand, main *sheetShape) string {
+// data columns, or a cross-sheet one: off the main sheet, an aggregate over
+// the main sheet; on the main sheet, an aggregate over another sheet (with
+// the first kind, a two-way chain); anywhere, a reader of another sheet's
+// scratch columns, where inserted formulas — cross-sheet readers among
+// them — live (a two-hop chain).
+func (sh *sheetShape) formulaText(rng *rand.Rand, main *sheetShape, shapes []*sheetShape) string {
 	if sh != main && len(main.numCols) > 0 && rng.Intn(3) == 0 {
 		col := cell.ColName(main.numCols[rng.Intn(len(main.numCols))])
 		return fmt.Sprintf("=SUM(%s!%s2:%s%d)", main.name, col, col, main.rows)
+	}
+	if len(shapes) > 1 {
+		other := shapes[rng.Intn(len(shapes))]
+		switch k := rng.Intn(8); {
+		case other == sh:
+		case k == 0 && sh == main && len(other.numCols) > 0:
+			col := cell.ColName(other.numCols[rng.Intn(len(other.numCols))])
+			return fmt.Sprintf("=SUM(%s!%s2:%s%d)", other.name, col, col, maxInt(other.rows, 2))
+		case k == 1:
+			col := cell.ColName(other.cols + 1 + rng.Intn(2))
+			return fmt.Sprintf("=%s!%s%d+1", other.name, col, 1+rng.Intn(maxInt(other.rows, 1)))
+		}
 	}
 	if len(sh.numCols) == 0 {
 		return ""

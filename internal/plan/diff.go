@@ -47,6 +47,9 @@ func diffSheet(g, w *SheetPlan) string {
 	if g.PredictedExt != w.PredictedExt {
 		return fmt.Sprintf("predicted external %v, want %v", g.PredictedExt, w.PredictedExt)
 	}
+	if !reflect.DeepEqual(g.PredictedReads, w.PredictedReads) {
+		return fmt.Sprintf("predicted reads %v, want %v", g.PredictedReads, w.PredictedReads)
+	}
 	gc, wc := *g, *w
 	gc.Stats, wc.Stats = SheetSummary{}, SheetSummary{}
 	if !reflect.DeepEqual(gc, wc) {

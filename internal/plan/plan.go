@@ -166,9 +166,14 @@ type SheetPlan struct {
 	// sheet once, under the chosen strategies.
 	Predicted costmodel.Meter `json:"-"`
 	// PredictedExt is the subset of Predicted contributed by cross-sheet
-	// formulas, which the engine's external-refresh pass re-evaluates once
-	// more per settled recalculation.
+	// formulas, which the engine's refresh by rounds re-evaluates once more
+	// per settled recalculation.
 	PredictedExt costmodel.Meter `json:"-"`
+	// PredictedReads is, per foreign sheet name, the subset of Predicted
+	// contributed by the formulas reading that sheet: what the engine's
+	// cross-sheet settle re-evaluates once more after the foreign sheet is
+	// recalculated. Nil when no formula here reads another sheet.
+	PredictedReads map[string]costmodel.Meter `json:"-"`
 
 	lookups map[SiteKey]*Choice
 	countIf map[int]*Choice
@@ -389,18 +394,56 @@ func (p *Plan) Choices() []*Choice {
 
 // PredictedRecalc predicts the steady-state work of the engine's
 // Recalculate(main): one evaluation of every formula hosted on the main
-// sheet, plus one external-refresh round re-evaluating every cross-sheet
-// formula workbook-wide (the settled fixpoint evaluates each external cell
-// once more and finds no change).
+// sheet, plus the cross-sheet settle, in which the formulas of other sheets
+// that read main evaluate once more and find no change. Where sheets read
+// one another in a cycle the engine settles by rounds instead, whose last
+// round re-evaluates every cross-sheet formula workbook-wide once more.
 func (p *Plan) PredictedRecalc(main string) costmodel.Meter {
 	var m costmodel.Meter
+	rounds := p.readCycle()
 	for _, sp := range p.Sheets {
 		if sp.Sheet == main {
 			addMeter(&m, sp.Predicted)
 		}
-		addMeter(&m, sp.PredictedExt)
+		switch {
+		case rounds:
+			addMeter(&m, sp.PredictedExt)
+		case sp.Sheet != main:
+			addMeter(&m, sp.PredictedReads[main])
+		}
 	}
 	return m
+}
+
+// readCycle reports whether the planned sheets read one another in a
+// cycle (a sheet reading itself by name included), as the engine's
+// sheet-level reader graph sees it.
+func (p *Plan) readCycle() bool {
+	// A sheet that reads no other sheet closes no cycle.
+	reader := func(name string) bool {
+		sp := p.SheetPlan(name)
+		return sp != nil && len(sp.PredictedReads) > 0
+	}
+	done := make(map[string]bool, len(p.Sheets))
+	for progress := true; progress; {
+		progress = false
+		for _, sp := range p.Sheets {
+			if done[sp.Sheet] {
+				continue
+			}
+			ready := true
+			for name := range sp.PredictedReads {
+				if name == sp.Sheet || !done[name] && reader(name) {
+					ready = false
+					break
+				}
+			}
+			if ready {
+				done[sp.Sheet], progress = true, true
+			}
+		}
+	}
+	return len(done) < len(p.Sheets)
 }
 
 // addMeter accumulates src into dst metric by metric.

@@ -211,33 +211,63 @@ func TestMaintenancePicksDeltas(t *testing.T) {
 	}
 }
 
+// TestPredictedRecalcCountsCrossSheetRefresh: recalculating a sheet costs
+// its own formulas plus one more evaluation of the other sheets' formulas
+// that read it (the engine's cross-sheet settle); the sheet's own readers
+// of other sheets are not charged again. Once the sheets read one another
+// in a cycle the engine refreshes by rounds, and every cross-sheet formula
+// workbook-wide is charged once more.
 func TestPredictedRecalcCountsCrossSheetRefresh(t *testing.T) {
-	acc := sheet.New("accounts", 9, 3)
-	for r := 1; r <= 8; r++ {
-		acc.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
-		acc.SetValue(cell.Addr{Row: r, Col: 2}, cell.Num(float64(r*10)))
+	build := func(cyclic bool) *Plan {
+		acc := sheet.New("accounts", 9, 4)
+		for r := 1; r <= 8; r++ {
+			acc.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(r)))
+			acc.SetValue(cell.Addr{Row: r, Col: 2}, cell.Num(float64(r*10)))
+		}
+		if cyclic {
+			mustFormula(t, acc, cell.Addr{Row: 1, Col: 3}, "=COUNT(ledger!A2:A51)")
+		}
+		led := sheet.New("ledger", 51, 3)
+		for r := 1; r <= 50; r++ {
+			led.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(1+r%8)))
+			mustFormula(t, led, cell.Addr{Row: r, Col: 1},
+				fmt.Sprintf("=VLOOKUP(A%d,accounts!A$2:C$9,3,FALSE)", r+1))
+		}
+		sum := sheet.New("summary", 3, 2)
+		mustFormula(t, sum, cell.Addr{Row: 1, Col: 0}, "=SUM(ledger!B2:B51)")
+		mustFormula(t, sum, cell.Addr{Row: 2, Col: 0}, "=A2*2")
+		return buildPlan(t, led, acc, sum)
 	}
-	led := sheet.New("ledger", 51, 3)
-	for r := 1; r <= 50; r++ {
-		led.SetValue(cell.Addr{Row: r, Col: 0}, cell.Num(float64(1+r%8)))
-		mustFormula(t, led, cell.Addr{Row: r, Col: 1},
-			fmt.Sprintf("=VLOOKUP(A%d,accounts!A$2:C$9,3,FALSE)", r+1))
-	}
-	p := buildPlan(t, led, acc)
+	touches := func(m costmodel.Meter) int64 { return m.Count(costmodel.CellTouch) }
 
-	sp := p.SheetPlan("ledger")
-	base := sp.Predicted.Count(costmodel.CellTouch)
-	ext := sp.PredictedExt.Count(costmodel.CellTouch)
-	if base == 0 || ext == 0 {
-		t.Fatalf("predicted touches base=%d ext=%d, want both positive", base, ext)
+	p := build(false)
+	led, sum := p.SheetPlan("ledger"), p.SheetPlan("summary")
+	base := touches(led.Predicted)
+	if ext := touches(led.PredictedExt); base == 0 || ext != base {
+		t.Fatalf("ledger predicted touches base=%d ext=%d, want equal and positive (every formula reads accounts)", base, ext)
 	}
-	if ext != base {
-		t.Fatalf("all ledger formulas are external: ext=%d want %d", ext, base)
+	if got := touches(led.PredictedReads["accounts"]); got != base {
+		t.Fatalf("ledger's reads of accounts = %d touches, want all of ledger's %d", got, base)
 	}
-	pm := p.PredictedRecalc("ledger")
-	total := pm.Count(costmodel.CellTouch)
-	if total != base+ext {
-		t.Fatalf("PredictedRecalc = %d, want evalAll+refresh = %d", total, base+ext)
+	readers := touches(sum.PredictedReads["ledger"])
+	if readers != 50 || readers == touches(sum.Predicted) {
+		t.Fatalf("summary's reads of ledger = %d touches, want the SUM's 50 and not the local formula", readers)
+	}
+	if got := touches(p.PredictedRecalc("ledger")); got != base+readers {
+		t.Fatalf("PredictedRecalc(ledger) = %d, want ledger's %d plus its readers' %d", got, base, readers)
+	}
+	if got, want := touches(p.PredictedRecalc("summary")), touches(sum.Predicted); got != want {
+		t.Fatalf("PredictedRecalc(summary) = %d, want summary's own %d (nothing reads it)", got, want)
+	}
+
+	p = build(true)
+	var all int64
+	for _, sp := range p.Sheets {
+		all += touches(sp.PredictedExt)
+	}
+	if got := touches(p.PredictedRecalc("ledger")); got != touches(p.SheetPlan("ledger").Predicted)+all {
+		t.Fatalf("cyclic PredictedRecalc(ledger) = %d, want ledger's %d plus every cross-sheet formula's %d",
+			got, touches(p.SheetPlan("ledger").Predicted), all)
 	}
 }
 

@@ -522,7 +522,8 @@ func choose(kind, sheetName, fn string, cands []Candidate, pr pricer) *Choice {
 	return c
 }
 
-// predictSheet computes the sheet's Predicted and PredictedExt meters: one
+// predictSheet computes the sheet's Predicted, PredictedExt and
+// PredictedReads meters: one
 // evaluation of every hosted formula under the chosen strategies — the
 // site set's lookup-free base plus, per lookup shape, its call count times
 // the chosen strategy's work (a scan where no choice covers the site).
@@ -533,24 +534,37 @@ func choose(kind, sheetName, fn string, cands []Candidate, pr pricer) *Choice {
 func predictSheet(sp *SheetPlan, hostName string, set *siteSet, plans map[string]*SheetPlan) {
 	pm, ext := set.base, set.extBase
 	for _, uc := range set.uses {
-		use := uc.use
-		target := use.target
-		if target == "" {
-			target = hostName
-		}
-		work := ScanLookupWork(use.fn, use.mode, use.key.Span())
-		if tp := plans[target]; tp != nil {
-			if c, ok := tp.lookups[use.key]; ok {
-				if cand, ok := c.chosenCandidate(); ok {
-					work = cand.Work
-				}
-			}
-		}
+		work := lookupWork(uc.use, hostName, plans)
 		addMeterTimes(&pm, work, uc.n)
 		addMeterTimes(&ext, work, uc.ext)
 	}
 	sp.Predicted = pm
 	sp.PredictedExt = ext
+	sp.PredictedReads = nil
+	for name, r := range set.reads {
+		m := r.base
+		for use, n := range r.uses {
+			addMeterTimes(&m, lookupWork(use, hostName, plans), n)
+		}
+		put(&sp.PredictedReads, name, m)
+	}
+}
+
+// lookupWork is the work of one lookup call under the strategy chosen for
+// its site (a scan where no choice covers it).
+func lookupWork(use lookupUse, hostName string, plans map[string]*SheetPlan) costmodel.Meter {
+	target := use.target
+	if target == "" {
+		target = hostName
+	}
+	if tp := plans[target]; tp != nil {
+		if c, ok := tp.lookups[use.key]; ok {
+			if cand, ok := c.chosenCandidate(); ok {
+				return cand.Work
+			}
+		}
+	}
+	return ScanLookupWork(use.fn, use.mode, use.key.Span())
 }
 
 // sortedCols returns the map's keys ascending.

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/cell"
@@ -297,6 +298,16 @@ type siteSet struct {
 	// predictor adds count × the chosen work.
 	base, extBase costmodel.Meter
 	uses          []useCount
+	// reads holds, per foreign sheet name, the share of the formulas that
+	// read that sheet; nil when no formula reads another sheet.
+	reads map[string]*readShare
+}
+
+// readShare is the work of the formulas that read one foreign sheet: their
+// lookup-free base and their lookup calls by shape.
+type readShare struct {
+	base costmodel.Meter
+	uses map[lookupUse]int64
 }
 
 type colSiteAgg struct {
@@ -317,9 +328,13 @@ func collectSites(s *sheet.Sheet) *siteSet {
 		aggs:    make(map[int]*colSiteAgg),
 	}
 	uses := make(map[lookupUse]*useCount)
+	// The foreign sheets and the lookup calls of the formula at hand.
+	var foreign []string
+	var calls []lookupUse
 	s.EachFormula(func(at cell.Addr, fc sheet.Formula) bool {
 		dr, dc := fc.DeltaAt(at)
 		external := fc.Code.External
+		foreign, calls = foreign[:0], calls[:0]
 		// fm is the formula's lookup-free work: one evaluation, one touch
 		// per single-cell precedent, and a scan of every range not served
 		// by a lookup site (COUNTIF and aggregate sites are charged as
@@ -328,6 +343,9 @@ func collectSites(s *sheet.Sheet) *siteSet {
 		fm.Add(costmodel.FormulaEval, 1)
 		fm.Add(costmodel.CellTouch, int64(len(fc.Code.Refs)))
 		EachUse(fc.Code.Root, dr, dc, func(u Use) {
+			if u.Sheet != "" && !slices.Contains(foreign, u.Sheet) {
+				foreign = append(foreign, u.Sheet)
+			}
 			switch u.Kind {
 			case ScanUse:
 				fm.Add(costmodel.CellTouch, int64(u.Cells))
@@ -345,6 +363,7 @@ func collectSites(s *sheet.Sheet) *siteSet {
 				if external {
 					uc.ext++
 				}
+				calls = append(calls, key)
 			case CountIfUse:
 				addMeter(&fm, scanCountWork(u.Span()))
 				set.noteCol(set.countIf, u, u.equality())
@@ -357,6 +376,9 @@ func collectSites(s *sheet.Sheet) *siteSet {
 		if external {
 			addMeter(&set.extBase, fm)
 		}
+		for _, name := range foreign {
+			set.noteRead(name, fm, calls)
+		}
 		return true
 	})
 	set.uses = make([]useCount, 0, len(uses))
@@ -365,6 +387,23 @@ func collectSites(s *sheet.Sheet) *siteSet {
 	}
 	sort.Slice(set.uses, func(i, j int) bool { return set.uses[i].use.less(set.uses[j].use) })
 	return set
+}
+
+// noteRead adds one formula reading the named foreign sheet: its
+// lookup-free work fm and its lookup calls.
+func (set *siteSet) noteRead(name string, fm costmodel.Meter, calls []lookupUse) {
+	if set.reads == nil {
+		set.reads = make(map[string]*readShare)
+	}
+	r := set.reads[name]
+	if r == nil {
+		r = &readShare{uses: make(map[lookupUse]int64)}
+		set.reads[name] = r
+	}
+	addMeter(&r.base, fm)
+	for _, c := range calls {
+		r.uses[c]++
+	}
 }
 
 // less orders lookup uses by target sheet, site key, function and mode.

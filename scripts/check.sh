@@ -152,7 +152,7 @@ fi
 if [ "$stage" = "bench" ] || [ "$stage" = "all" ]; then
     echo "== bench smoke (BENCH_engine.json) =="
     ./scripts/bench.sh -quick \
-        -bench='BenchmarkFormulaCompile|BenchmarkGridScan|BenchmarkFig13Incremental|BenchmarkInterferenceAnalysis|BenchmarkCertifiedLookupMatch|BenchmarkPlanSelection|BenchmarkPlanRebuildAfterEdit|BenchmarkRowEditPair|BenchmarkSortPair|BenchmarkCrossSheetEdit'
+        -bench='BenchmarkFormulaCompile|BenchmarkGridScan|BenchmarkFig13Incremental|BenchmarkInterferenceAnalysis|BenchmarkCertifiedLookupMatch|BenchmarkPlanSelection|BenchmarkPlanRebuildAfterEdit|BenchmarkRowEditPair|BenchmarkSortPair|BenchmarkCrossSheetEdit|BenchmarkCrossSheetLookupEdit'
 
     echo "== runner observability smoke (sidecar + trace) =="
     smokedir=$(mktemp -d)
@@ -176,7 +176,7 @@ if [ "$stage" = "benchdiff" ] || [ "$stage" = "all" ]; then
     # bench stage just wrote a fresh one with the same benchmark subset.
     if [ "$stage" = "benchdiff" ]; then
         ./scripts/bench.sh -quick \
-            -bench='BenchmarkFormulaCompile|BenchmarkGridScan|BenchmarkFig13Incremental|BenchmarkInterferenceAnalysis|BenchmarkCertifiedLookupMatch|BenchmarkPlanSelection|BenchmarkPlanRebuildAfterEdit|BenchmarkRowEditPair|BenchmarkSortPair|BenchmarkCrossSheetEdit'
+            -bench='BenchmarkFormulaCompile|BenchmarkGridScan|BenchmarkFig13Incremental|BenchmarkInterferenceAnalysis|BenchmarkCertifiedLookupMatch|BenchmarkPlanSelection|BenchmarkPlanRebuildAfterEdit|BenchmarkRowEditPair|BenchmarkSortPair|BenchmarkCrossSheetEdit|BenchmarkCrossSheetLookupEdit'
     fi
     go run ./cmd/benchdiff -baseline BENCH_baseline.json -candidate BENCH_engine.json \
         -threshold 4.0 -min-ns 1000000 -allocs-slack 0.01 | tee BENCHDIFF_table.txt
